@@ -13,7 +13,7 @@ package chain
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hypercube/internal/bits"
 	"hypercube/internal/topology"
@@ -31,20 +31,16 @@ type Chain []topology.NodeID
 func Relative(c topology.Cube, src topology.NodeID, dests []topology.NodeID) Chain {
 	c.MustContain(src)
 	s := c.Canon(src)
-	seen := make(map[topology.NodeID]bool, len(dests))
 	out := make(Chain, 0, len(dests)+1)
 	out = append(out, 0)
 	for _, d := range dests {
 		c.MustContain(d)
-		r := c.Canon(d) ^ s
-		if r == 0 || seen[r] {
-			continue
+		if r := c.Canon(d) ^ s; r != 0 {
+			out = append(out, r)
 		}
-		seen[r] = true
-		out = append(out, r)
 	}
-	sort.Slice(out[1:], func(i, j int) bool { return out[i+1] < out[j+1] })
-	return out
+	slices.Sort(out[1:])
+	return slices.Compact(out)
 }
 
 // Absolute translates the chain back to absolute addresses on cube c for
@@ -146,12 +142,12 @@ func (ch Chain) weightedSort(first, last, nS int) {
 }
 
 // swapHalves rotates ch[first..last] so that ch[center..last] precedes
-// ch[first..center-1], preserving internal order of both halves.
+// ch[first..center-1], preserving internal order of both halves. Three
+// reversals rotate in place without a scratch copy.
 func (ch Chain) swapHalves(first, center, last int) {
-	tmp := make(Chain, center-first)
-	copy(tmp, ch[first:center])
-	copy(ch[first:], ch[center:last+1])
-	copy(ch[first+(last-center+1):], tmp)
+	slices.Reverse(ch[first:center])
+	slices.Reverse(ch[center : last+1])
+	slices.Reverse(ch[first : last+1])
 }
 
 // WeightedSortFast is an O(m log m) reformulation equivalent to the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"hypercube/internal/chain"
 	"hypercube/internal/topology"
 )
@@ -10,10 +12,10 @@ import (
 // steps; on an all-port architecture the scheduler overlaps sends on
 // different channels but serializes sends sharing the first hop.
 func buildSeparate(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree {
-	t := newTree(c, SeparateAddressing, src)
+	t := newTree(c, SeparateAddressing, src, 1)
 	t.touch(src)
-	for _, rel := range ch[1:] {
-		t.addSend(Send{From: src, To: t.abs(rel), Payload: chain.Chain{rel}})
+	for i := 1; i < len(ch); i++ {
+		t.addSend(Send{From: src, To: t.abs(ch[i]), Payload: ch[i : i+1 : i+1]})
 	}
 	return t
 }
@@ -25,7 +27,7 @@ func buildSeparate(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree {
 // message in software, which is exactly the inefficiency the paper's
 // wormhole algorithms remove.
 func buildSFBinomial(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree {
-	t := newTree(c, SFBinomial, src)
+	t := newTree(c, SFBinomial, src, 0)
 	t.touch(src)
 	if len(ch) < 2 {
 		return t
@@ -62,7 +64,7 @@ func buildSFBinomial(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree
 					rest = append(rest, dst)
 				}
 			}
-			t.addSend(Send{From: t.abs(holder), To: t.abs(partner), Payload: rest})
+			t.addSend(Send{From: t.abs(holder), To: t.abs(partner), Payload: slices.Clip(rest)})
 			responsibility[partner] = rest
 		}
 	}

@@ -149,7 +149,7 @@ func LocalSendsAt(c topology.Cube, a Algorithm, src, node topology.NodeID, paylo
 // execution a real machine performs. It must produce exactly the tree of
 // Build (asserted by tests).
 func BuildDistributed(c topology.Cube, a Algorithm, src topology.NodeID, dests []topology.NodeID) *Tree {
-	t := newTree(c, a, src)
+	t := newTree(c, a, src, 0)
 	t.touch(src)
 	type delivery struct {
 		node    topology.NodeID

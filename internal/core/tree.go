@@ -73,6 +73,12 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 // addresses. Payload carries the relative sub-chain the recipient becomes
 // responsible for (To first); it is what a real implementation would place
 // in the message's address field.
+//
+// Payload is a read-only view. The chain algorithms and separate
+// addressing hand out windows of the one chain a tree was built from, each
+// capped at its own length (cap == len), so an append by a consumer
+// reallocates instead of overwriting a sibling's sub-chain. Copy a payload
+// before modifying its elements.
 type Send struct {
 	From, To topology.NodeID
 	Payload  chain.Chain
@@ -141,37 +147,48 @@ func nextCombine(ch chain.Chain, left, right int) int {
 // next-selection policy. Every node, upon "receiving" its sub-chain,
 // repeatedly transmits to ch[next] the tail [next+1..right] and shrinks its
 // own responsibility to [left..next-1].
+//
+// A chain of m+1 nodes yields exactly m sends, and each sender emits all of
+// its sends in one run of the inner loop, so the sends live in one
+// contiguous array and each sender's list is a capped window of it. Every
+// payload is a capped window of ch itself: the tree owns ch from here on.
 func buildChainTree(c topology.Cube, a Algorithm, src topology.NodeID, ch chain.Chain, policy func(chain.Chain, int, int) int) *Tree {
-	t := newTree(c, a, src)
+	t := newTree(c, a, src, len(ch))
+	sends := make([]Send, 0, len(ch)-1)
 	type job struct{ left, right int }
-	queue := []job{{0, len(ch) - 1}}
-	for len(queue) > 0 {
-		j := queue[0]
-		queue = queue[1:]
-		left, right := j.left, j.right
+	queue := make([]job, 1, len(ch))
+	queue[0] = job{0, len(ch) - 1}
+	for head := 0; head < len(queue); head++ {
+		left, right := queue[head].left, queue[head].right
 		from := t.abs(ch[left])
-		t.touch(from)
+		first := len(sends)
 		for right > left {
 			next := policy(ch, left, right)
 			if next <= left || next > right {
 				panic(fmt.Sprintf("core: policy returned %d outside (%d,%d]", next, left, right))
 			}
-			payload := make(chain.Chain, right-next+1)
-			copy(payload, ch[next:right+1])
-			t.addSend(Send{From: from, To: t.abs(ch[next]), Payload: payload})
+			sends = append(sends, Send{From: from, To: t.abs(ch[next]), Payload: ch[next : right+1 : right+1]})
 			queue = append(queue, job{next, right})
 			right = next - 1
 		}
+		var own []Send // nil for a leaf, as touch leaves it
+		if n := len(sends); n > first {
+			own = sends[first:n:n]
+		}
+		t.Order = append(t.Order, from)
+		t.Sends[from] = own
 	}
 	return t
 }
 
-func newTree(c topology.Cube, a Algorithm, src topology.NodeID) *Tree {
+// newTree returns an empty tree with room for size senders.
+func newTree(c topology.Cube, a Algorithm, src topology.NodeID, size int) *Tree {
 	return &Tree{
 		Cube:      c,
 		Source:    src,
 		Algorithm: a,
-		Sends:     make(map[topology.NodeID][]Send),
+		Sends:     make(map[topology.NodeID][]Send, size),
+		Order:     make([]topology.NodeID, 0, size),
 	}
 }
 
@@ -206,6 +223,16 @@ func (t *Tree) Unicasts() []Send {
 		out = append(out, t.Sends[v]...)
 	}
 	return out
+}
+
+// NumUnicasts returns the number of constituent unicasts, which is also the
+// number of receivers: a tree reaches every node at most once.
+func (t *Tree) NumUnicasts() int {
+	n := 0
+	for _, v := range t.Order {
+		n += len(t.Sends[v])
+	}
+	return n
 }
 
 // Destinations returns the set of nodes that receive the message, in

@@ -31,7 +31,7 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Op is a pre-bound event: an object that knows how to run itself when its
 // time comes. Scheduling an Op (AtOp/AfterOp) allocates nothing — the
-// calendar stores the two interface words inline — whereas scheduling a
+// calendar's slot slab stores the two interface words — whereas scheduling a
 // closure (At/After) allocates the closure. Simulators on the hot path
 // (wormhole's per-hop header advance and tail-drain events, ncube's
 // per-send software setup) implement Op on objects they already own.
@@ -40,31 +40,41 @@ type Op interface {
 	RunEvent()
 }
 
-// item is one calendar entry. Exactly one of op and fn is set.
-type item struct {
-	at  Time
-	seq uint64
-	op  Op
-	fn  func()
+// key is one calendar entry as the heap sees it: the (time, seq) sort key
+// and the index of the event's payload in the queue's slot slab. It holds
+// no pointers, so sifting keys costs the garbage collector nothing.
+type key struct {
+	at   Time
+	seq  uint64
+	slot int32
 }
 
 // before is the calendar's total order: time, then FIFO sequence. It has no
 // ties, so the execution order is unique and independent of the heap shape.
-func before(a, b item) bool {
+func (a key) before(b key) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
+// payload is what an entry runs. Exactly one of op and fn is set.
+type payload struct {
+	op Op
+	fn func()
+}
+
 // Queue is a single-threaded event calendar. The zero value is ready to use.
 //
-// The calendar is a typed binary min-heap grown in place: no interface{}
-// boxing per push (the container/heap API costs one heap allocation per
-// scheduled event), no per-pop unboxing, and the backing array's capacity
-// survives Reset for pooled reuse across simulation runs.
+// The calendar is a typed binary min-heap of pointer-free keys, grown in
+// place and sifted by moving a hole rather than swapping. Each key names a
+// slot in a payload slab whose vacated slots are recycled through a free
+// list. Pushing allocates nothing once the slices have grown, and their
+// capacity survives Reset for pooled reuse across simulation runs.
 type Queue struct {
-	h        []item
+	h        []key
+	slots    []payload
+	free     []int32
 	now      Time
 	seq      uint64
 	diagnose func() string
@@ -75,46 +85,64 @@ type Queue struct {
 	mDepth *metrics.Gauge
 }
 
-// push inserts it and restores the heap order by sifting up.
-func (q *Queue) push(it item) {
-	q.h = append(q.h, it)
+// push stores p in a free slot and inserts its key, sifting the hole up
+// from the end of the heap to the key's place.
+func (q *Queue) push(at Time, p payload) {
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slots[slot] = p
+	} else {
+		slot = int32(len(q.slots))
+		q.slots = append(q.slots, p)
+	}
+	k := key{at: at, seq: q.seq, slot: slot}
+	q.h = append(q.h, k)
 	i := len(q.h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !before(q.h[i], q.h[parent]) {
+		if !k.before(q.h[parent]) {
 			break
 		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
+		q.h[i] = q.h[parent]
 		i = parent
 	}
+	q.h[i] = k
 }
 
-// pop removes and returns the earliest entry. The vacated slot is zeroed so
-// the backing array does not retain the event's closure or Op.
-func (q *Queue) pop() item {
+// pop removes the earliest entry and returns its time and payload. The
+// vacated slot is zeroed, so the slab does not retain the event's closure
+// or Op, and goes on the free list.
+func (q *Queue) pop() (Time, payload) {
 	top := q.h[0]
 	n := len(q.h) - 1
-	q.h[0] = q.h[n]
-	q.h[n] = item{}
+	last := q.h[n]
 	q.h = q.h[:n]
-	// Sift the relocated entry down.
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
+	if n > 0 {
+		// Sift the hole at the root down to where last belongs.
+		i := 0
+		for {
+			l := 2*i + 1
+			if l >= n {
+				break
+			}
+			min := l
+			if r := l + 1; r < n && q.h[r].before(q.h[l]) {
+				min = r
+			}
+			if !q.h[min].before(last) {
+				break
+			}
+			q.h[i] = q.h[min]
+			i = min
 		}
-		min := l
-		if r := l + 1; r < n && before(q.h[r], q.h[l]) {
-			min = r
-		}
-		if !before(q.h[min], q.h[i]) {
-			break
-		}
-		q.h[i], q.h[min] = q.h[min], q.h[i]
-		i = min
+		q.h[i] = last
 	}
-	return top
+	p := q.slots[top.slot]
+	q.slots[top.slot] = payload{}
+	q.free = append(q.free, top.slot)
+	return top.at, p
 }
 
 // SetMetrics wires the queue into a metrics registry: every executed event
@@ -141,7 +169,7 @@ func (q *Queue) schedule(t Time, op Op, fn func()) {
 		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, q.now))
 	}
 	q.seq++
-	q.push(item{at: t, seq: q.seq, op: op, fn: fn})
+	q.push(t, payload{op: op, fn: fn})
 	if q.mDepth != nil {
 		q.mDepth.SetMax(int64(len(q.h)))
 	}
@@ -176,15 +204,15 @@ func (q *Queue) Step() bool {
 	if len(q.h) == 0 {
 		return false
 	}
-	it := q.pop()
-	q.now = it.at
+	at, p := q.pop()
+	q.now = at
 	if q.mSteps != nil {
 		q.mSteps.Inc()
 	}
-	if it.op != nil {
-		it.op.RunEvent()
+	if p.op != nil {
+		p.op.RunEvent()
 	} else {
-		it.fn()
+		p.fn()
 	}
 	return true
 }
@@ -207,16 +235,14 @@ func (q *Queue) stepIfBefore(horizon Time) bool {
 	return q.Step()
 }
 
-// Reset returns the queue to its zero state while keeping the calendar's
-// backing array, so pooled runs reuse its capacity. Pending entries are
-// zeroed (a watchdog-aborted run leaves events behind; their references
-// must not outlive the run), and instruments and the diagnoser are
-// detached — reattach them per run.
+// Reset returns the queue to its zero state while keeping the capacity of
+// the heap, the slot slab and the free list, so pooled runs reuse them. The
+// slab is cleared (a watchdog-aborted run leaves events behind; their
+// references must not outlive the run), and instruments and the diagnoser
+// are detached — reattach them per run.
 func (q *Queue) Reset() {
-	for i := range q.h {
-		q.h[i] = item{}
-	}
-	q.h = q.h[:0]
+	clear(q.slots)
+	q.h, q.slots, q.free = q.h[:0], q.slots[:0], q.free[:0]
 	q.now, q.seq = 0, 0
 	q.diagnose = nil
 	q.mSteps, q.mDepth = nil, nil

@@ -1,7 +1,10 @@
 package event
 
 import (
+	"cmp"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -191,6 +194,15 @@ func TestResetClearsStateKeepsCapacity(t *testing.T) {
 	if q.Len() != 0 || q.Now() != 0 {
 		t.Errorf("after Reset: len=%d now=%v", q.Len(), q.Now())
 	}
+	// The payload slab keeps its capacity but no event's references.
+	if cap(q.slots) == 0 || len(q.free) != 0 {
+		t.Errorf("after Reset: slab cap=%d free=%d", cap(q.slots), len(q.free))
+	}
+	for i, p := range q.slots[:cap(q.slots)] {
+		if p.op != nil || p.fn != nil {
+			t.Fatalf("after Reset: slot %d still holds an event", i)
+		}
+	}
 	// The queue is immediately reusable and behaves like a fresh one.
 	ran := 0
 	q.At(7, func() { ran++ })
@@ -309,4 +321,71 @@ func TestMustRunPanicsOnBudget(t *testing.T) {
 		}
 	}()
 	q.MustRun(10, 0)
+}
+
+// Events scheduled at random times, many tied, partly from inside
+// handlers (so vacated slots are reused while others are pending), run in
+// exactly (time, scheduling order).
+func TestRandomCalendarRunsInTotalOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var q Queue
+	type stamp struct {
+		at Time
+		id int
+	}
+	var want, got []stamp
+	id, peak := 0, 0
+	var schedule func(at Time, depth int)
+	schedule = func(at Time, depth int) {
+		s := stamp{at, id}
+		id++
+		want = append(want, s)
+		q.At(at, func() {
+			got = append(got, s)
+			peak = max(peak, q.Len()+1)
+			for k := rng.Intn(3); depth < 4 && k > 0; k-- {
+				schedule(q.Now()+Time(rng.Intn(20)), depth+1)
+			}
+		})
+	}
+	for i := 0; i < 500; i++ {
+		schedule(Time(rng.Intn(100)), 0)
+	}
+	q.Run()
+	slices.SortFunc(want, func(a, b stamp) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("executed %d events out of (time, seq) order", len(got))
+	}
+	if len(q.slots) != peak {
+		t.Errorf("slab grew to %d slots for at most %d pending events", len(q.slots), peak)
+	}
+}
+
+type nopOp struct{ n int }
+
+func (o *nopOp) RunEvent() { o.n++ }
+
+// Once the calendar has grown, scheduling and running a pre-bound Op
+// allocates nothing.
+func TestOpSteadyStateAllocatesNothing(t *testing.T) {
+	var q Queue
+	op := &nopOp{}
+	for i := 0; i < 64; i++ {
+		q.AfterOp(Time(i), op)
+	}
+	q.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			q.AfterOp(Time(i%7), op)
+		}
+		q.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("AfterOp+Run allocates %v objects per round", allocs)
+	}
 }

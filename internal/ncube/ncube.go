@@ -439,7 +439,7 @@ func RunInstrumentedBudget(p Params, tr *core.Tree, bytes int, ins Instrumentati
 	res := Result{
 		Algorithm: tr.Algorithm,
 		Bytes:     bytes,
-		Recv:      make(map[topology.NodeID]event.Time),
+		Recv:      make(map[topology.NodeID]event.Time, tr.NumUnicasts()),
 	}
 	env := getEnv(p, tr, &res, bytes)
 	ins.instrument(&env.q, env.net)

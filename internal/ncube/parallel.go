@@ -57,7 +57,7 @@ func RunParallelInstrumented(p Params, trees []*core.Tree, bytes int, ins Instru
 		results[i] = Result{
 			Algorithm: tr.Algorithm,
 			Bytes:     bytes,
-			Recv:      make(map[topology.NodeID]event.Time),
+			Recv:      make(map[topology.NodeID]event.Time, tr.NumUnicasts()),
 		}
 		env := getEnv(p, tr, &results[i], bytes)
 		ins.instrument(&env.q, env.net)

@@ -138,9 +138,12 @@ type StepwiseConfig struct {
 	Seed       int64            // RNG seed
 	Algorithms []core.Algorithm // series; defaults to U-cube/Maxport/Combine/W-sort
 	DestCounts []int            // x axis; defaults to DestCounts(Dim, 64)
-	Port       core.PortModel   // execution port model (paper: all-port)
-	Stat       StepStat         // per-set statistic (paper: MaxSteps)
-	Workers    int              // concurrent points; 0 = GOMAXPROCS, 1 = serial
+	// Port is the execution port model. The zero value is core.OnePort,
+	// which cmd/figures leaves in place; the paper's Figures 9 and 10 are
+	// all-port (core.AllPort, the cmd/stepwise default).
+	Port    core.PortModel
+	Stat    StepStat // per-set statistic (paper: MaxSteps)
+	Workers int      // concurrent points; 0 = GOMAXPROCS, 1 = serial
 	// Metrics, when non-nil, aggregates sweep-wide observability: trial
 	// counts and per-schedule step distributions. Point workers update it
 	// concurrently (all instruments are atomic); it never affects results.
