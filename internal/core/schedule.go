@@ -207,8 +207,10 @@ func scheduleAllPort(t *Tree) *Schedule {
 	return s
 }
 
+// sortUnicasts orders a schedule by (Step, From, To). Every node receives
+// at most once, so the key has no ties and an unstable sort is exact.
 func sortUnicasts(us []Unicast) {
-	slices.SortStableFunc(us, func(a, b Unicast) int {
+	slices.SortFunc(us, func(a, b Unicast) int {
 		if a.Step != b.Step {
 			return cmp.Compare(a.Step, b.Step)
 		}

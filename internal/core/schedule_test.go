@@ -49,3 +49,21 @@ func TestAllPortStepsAreArcDisjoint(t *testing.T) {
 		}
 	}
 }
+
+// Every node receives at most once, so no two unicasts of a schedule share
+// a (Step, From, To) key: sortUnicasts may use an unstable sort and still
+// produce one order. Checked for every algorithm under both port models.
+func TestScheduleReceiversAreUnique(t *testing.T) {
+	for i, tr := range allPortTrees() {
+		for _, pm := range []PortModel{OnePort, AllPort} {
+			s := NewSchedule(tr, pm)
+			seen := make(map[topology.NodeID]bool, len(s.Unicasts))
+			for _, u := range s.Unicasts {
+				if seen[u.To] {
+					t.Fatalf("%v %v tree %d: node %v receives twice", tr.Algorithm, pm, i, u.To)
+				}
+				seen[u.To] = true
+			}
+		}
+	}
+}

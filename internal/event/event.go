@@ -40,9 +40,9 @@ type Op interface {
 	RunEvent()
 }
 
-// key is one calendar entry as the heap sees it: the (time, seq) sort key
-// and the index of the event's payload in the queue's slot slab. It holds
-// no pointers, so sifting keys costs the garbage collector nothing.
+// key is one calendar entry: the (time, seq) sort key and the index of the
+// event's payload in the queue's slot slab. It holds no pointers, so moving
+// keys costs the garbage collector nothing.
 type key struct {
 	at   Time
 	seq  uint64
@@ -50,7 +50,8 @@ type key struct {
 }
 
 // before is the calendar's total order: time, then FIFO sequence. It has no
-// ties, so the execution order is unique and independent of the heap shape.
+// ties, so the execution order is unique and independent of which lane or
+// heap position holds a key.
 func (a key) before(b key) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -64,15 +65,51 @@ type payload struct {
 	fn func()
 }
 
+// maxLanes bounds the calendar's delay lanes. Every event a multicast run
+// schedules uses one of a handful of constant delays (software startup,
+// receive overhead, per-hop header advance, tail drain), so a few lanes
+// take every push of the figure sweeps.
+const maxLanes = 8
+
+// lane is a FIFO ring of keys that were all scheduled with one delay. The
+// clock never runs backwards and sequence numbers only grow, so keys
+// appended at now+delay arrive in (time, seq) order: the lane is sorted by
+// construction and its front is its minimum.
+type lane struct {
+	delay Time
+	head  int   // ring index of the front key
+	n     int   // pending keys
+	ring  []key // power-of-two length
+}
+
+// push appends k, doubling the ring (front first) when it is full.
+func (l *lane) push(k key) {
+	if l.n == len(l.ring) {
+		ring := make([]key, max(16, 2*len(l.ring)))
+		copied := copy(ring, l.ring[l.head:])
+		copy(ring[copied:], l.ring[:l.head])
+		l.ring, l.head = ring, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = k
+	l.n++
+}
+
 // Queue is a single-threaded event calendar. The zero value is ready to use.
 //
-// The calendar is a typed binary min-heap of pointer-free keys, grown in
-// place and sifted by moving a hole rather than swapping. Each key names a
-// slot in a payload slab whose vacated slots are recycled through a free
-// list. Pushing allocates nothing once the slices have grown, and their
-// capacity survives Reset for pooled reuse across simulation runs.
+// The calendar keeps pointer-free keys in up to maxLanes per-delay FIFO
+// lanes, with a typed binary min-heap (sifted by moving a hole rather than
+// swapping) for keys whose delay finds no lane. The next event is the
+// smallest key among the lane fronts and the heap top; since keys are
+// totally ordered, this is exactly the order one heap of all keys would
+// give. Each key names a slot in a payload slab whose vacated slots are
+// recycled through a free list. Pushing allocates nothing once the slices
+// have grown, and their capacity survives Reset for pooled reuse across
+// simulation runs.
 type Queue struct {
+	lanes    [maxLanes]lane
+	nlanes   int // lanes assigned a delay since the last Reset
 	h        []key
+	pending  int // keys in lanes and heap together
 	slots    []payload
 	free     []int32
 	now      Time
@@ -85,8 +122,8 @@ type Queue struct {
 	mDepth *metrics.Gauge
 }
 
-// push stores p in a free slot and inserts its key, sifting the hole up
-// from the end of the heap to the key's place.
+// push stores p in a free slot and files its key: in the lane holding the
+// key's delay, else in a drained or unassigned lane, else in the heap.
 func (q *Queue) push(at Time, p payload) {
 	var slot int32
 	if n := len(q.free); n > 0 {
@@ -98,6 +135,35 @@ func (q *Queue) push(at Time, p payload) {
 		q.slots = append(q.slots, p)
 	}
 	k := key{at: at, seq: q.seq, slot: slot}
+	q.pending++
+	d := at - q.now
+	free := -1
+	for i := range q.lanes[:q.nlanes] {
+		l := &q.lanes[i]
+		if l.delay == d {
+			l.push(k)
+			return
+		}
+		if l.n == 0 && free < 0 {
+			free = i
+		}
+	}
+	if free < 0 && q.nlanes < maxLanes {
+		free = q.nlanes
+		q.nlanes++
+	}
+	if free >= 0 {
+		l := &q.lanes[free]
+		l.delay = d
+		l.push(k)
+		return
+	}
+	q.pushHeap(k)
+}
+
+// pushHeap inserts k into the overflow heap, sifting the hole up from the
+// end of the heap to the key's place.
+func (q *Queue) pushHeap(k key) {
 	q.h = append(q.h, k)
 	i := len(q.h) - 1
 	for i > 0 {
@@ -111,38 +177,70 @@ func (q *Queue) push(at Time, p payload) {
 	q.h[i] = k
 }
 
-// pop removes the earliest entry and returns its time and payload. The
-// vacated slot is zeroed, so the slab does not retain the event's closure
-// or Op, and goes on the free list.
-func (q *Queue) pop() (Time, payload) {
-	top := q.h[0]
+// next returns the earliest pending key and where it lives: the front of
+// lane from, or the heap top when from < 0. The calendar must not be empty.
+func (q *Queue) next() (k key, from int) {
+	from = -1
+	have := len(q.h) > 0
+	if have {
+		k = q.h[0]
+	}
+	for i := range q.lanes[:q.nlanes] {
+		l := &q.lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		if f := l.ring[l.head]; !have || f.before(k) {
+			k, from, have = f, i, true
+		}
+	}
+	return k, from
+}
+
+// take removes the key next returned from its lane or the heap and frees
+// its slot, which is zeroed so the slab does not retain the event's closure
+// or Op.
+func (q *Queue) take(k key, from int) payload {
+	if from >= 0 {
+		l := &q.lanes[from]
+		l.head = (l.head + 1) & (len(l.ring) - 1)
+		l.n--
+	} else {
+		q.popHeap()
+	}
+	q.pending--
+	p := q.slots[k.slot]
+	q.slots[k.slot] = payload{}
+	q.free = append(q.free, k.slot)
+	return p
+}
+
+// popHeap removes the heap top, sifting the hole at the root down to where
+// the last key belongs.
+func (q *Queue) popHeap() {
 	n := len(q.h) - 1
 	last := q.h[n]
 	q.h = q.h[:n]
-	if n > 0 {
-		// Sift the hole at the root down to where last belongs.
-		i := 0
-		for {
-			l := 2*i + 1
-			if l >= n {
-				break
-			}
-			min := l
-			if r := l + 1; r < n && q.h[r].before(q.h[l]) {
-				min = r
-			}
-			if !q.h[min].before(last) {
-				break
-			}
-			q.h[i] = q.h[min]
-			i = min
-		}
-		q.h[i] = last
+	if n == 0 {
+		return
 	}
-	p := q.slots[top.slot]
-	q.slots[top.slot] = payload{}
-	q.free = append(q.free, top.slot)
-	return top.at, p
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		min := l
+		if r := l + 1; r < n && q.h[r].before(q.h[l]) {
+			min = r
+		}
+		if !q.h[min].before(last) {
+			break
+		}
+		q.h[i] = q.h[min]
+		i = min
+	}
+	q.h[i] = last
 }
 
 // SetMetrics wires the queue into a metrics registry: every executed event
@@ -161,7 +259,7 @@ func (q *Queue) SetMetrics(reg *metrics.Registry) {
 func (q *Queue) Now() Time { return q.now }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.h) }
+func (q *Queue) Len() int { return q.pending }
 
 // schedule validates t and inserts one calendar entry.
 func (q *Queue) schedule(t Time, op Op, fn func()) {
@@ -171,7 +269,7 @@ func (q *Queue) schedule(t Time, op Op, fn func()) {
 	q.seq++
 	q.push(t, payload{op: op, fn: fn})
 	if q.mDepth != nil {
-		q.mDepth.SetMax(int64(len(q.h)))
+		q.mDepth.SetMax(int64(q.pending))
 	}
 }
 
@@ -201,11 +299,18 @@ func (q *Queue) AfterOp(d Time, op Op) {
 // Step runs the single earliest event, advancing the clock. It reports
 // whether an event was available.
 func (q *Queue) Step() bool {
-	if len(q.h) == 0 {
+	if q.pending == 0 {
 		return false
 	}
-	at, p := q.pop()
-	q.now = at
+	q.exec(q.next())
+	return true
+}
+
+// exec removes the key next returned, advances the clock to it and runs its
+// event.
+func (q *Queue) exec(k key, from int) {
+	p := q.take(k, from)
+	q.now = k.at
 	if q.mSteps != nil {
 		q.mSteps.Inc()
 	}
@@ -214,34 +319,43 @@ func (q *Queue) Step() bool {
 	} else {
 		p.fn()
 	}
-	return true
 }
 
 // peekTime returns the earliest pending event time, if any.
 func (q *Queue) peekTime() (Time, bool) {
-	if len(q.h) == 0 {
+	if q.pending == 0 {
 		return 0, false
 	}
-	return q.h[0].at, true
+	k, _ := q.next()
+	return k.at, true
 }
 
 // stepIfBefore runs the earliest event only if it lies strictly before
 // horizon, reporting whether one ran. This is the window primitive of the
 // parallel executor: each logical process drains exactly its safe window.
 func (q *Queue) stepIfBefore(horizon Time) bool {
-	if len(q.h) == 0 || q.h[0].at >= horizon {
+	if q.pending == 0 {
 		return false
 	}
-	return q.Step()
+	k, from := q.next()
+	if k.at >= horizon {
+		return false
+	}
+	q.exec(k, from)
+	return true
 }
 
 // Reset returns the queue to its zero state while keeping the capacity of
-// the heap, the slot slab and the free list, so pooled runs reuse them. The
-// slab is cleared (a watchdog-aborted run leaves events behind; their
-// references must not outlive the run), and instruments and the diagnoser
-// are detached — reattach them per run.
+// the lanes, the heap, the slot slab and the free list, so pooled runs
+// reuse them. The slab is cleared (a watchdog-aborted run leaves events
+// behind; their references must not outlive the run), and instruments and
+// the diagnoser are detached — reattach them per run.
 func (q *Queue) Reset() {
 	clear(q.slots)
+	for i := range q.lanes[:q.nlanes] {
+		q.lanes[i].head, q.lanes[i].n = 0, 0
+	}
+	q.nlanes, q.pending = 0, 0
 	q.h, q.slots, q.free = q.h[:0], q.slots[:0], q.free[:0]
 	q.now, q.seq = 0, 0
 	q.diagnose = nil
@@ -304,7 +418,7 @@ func (d *Diagnostic) Error() string {
 func (q *Queue) SetDiagnoser(fn func() string) { q.diagnose = fn }
 
 func (q *Queue) diag(reason string, steps int) *Diagnostic {
-	d := &Diagnostic{Reason: reason, Steps: steps, Now: q.now, Pending: len(q.h)}
+	d := &Diagnostic{Reason: reason, Steps: steps, Now: q.now, Pending: q.pending}
 	if q.diagnose != nil {
 		d.Detail = q.diagnose()
 	}
@@ -323,11 +437,12 @@ func (q *Queue) RunBudget(maxSteps int, maxTime Time) (Time, error) {
 	}
 	steps, sameTime := 0, 0
 	last := q.now
-	for len(q.h) > 0 {
-		if maxTime > 0 && q.h[0].at > maxTime {
+	for q.pending > 0 {
+		k, from := q.next()
+		if maxTime > 0 && k.at > maxTime {
 			return q.now, q.diag(fmt.Sprintf("time budget %s exhausted", maxTime.Micros()), steps)
 		}
-		q.Step()
+		q.exec(k, from)
 		steps++
 		if q.now == last {
 			sameTime++
@@ -359,8 +474,12 @@ func (q *Queue) MustRun(maxSteps int, maxTime Time) Time {
 // RunUntil executes events with time <= deadline; later events stay queued.
 // The clock is left at min(deadline, last executed event time >= now).
 func (q *Queue) RunUntil(deadline Time) {
-	for len(q.h) > 0 && q.h[0].at <= deadline {
-		q.Step()
+	for q.pending > 0 {
+		k, from := q.next()
+		if k.at > deadline {
+			break
+		}
+		q.exec(k, from)
 	}
 	if q.now < deadline {
 		q.now = deadline

@@ -1,10 +1,7 @@
 package event
 
 import (
-	"cmp"
-	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -321,49 +318,6 @@ func TestMustRunPanicsOnBudget(t *testing.T) {
 		}
 	}()
 	q.MustRun(10, 0)
-}
-
-// Events scheduled at random times, many tied, partly from inside
-// handlers (so vacated slots are reused while others are pending), run in
-// exactly (time, scheduling order).
-func TestRandomCalendarRunsInTotalOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var q Queue
-	type stamp struct {
-		at Time
-		id int
-	}
-	var want, got []stamp
-	id, peak := 0, 0
-	var schedule func(at Time, depth int)
-	schedule = func(at Time, depth int) {
-		s := stamp{at, id}
-		id++
-		want = append(want, s)
-		q.At(at, func() {
-			got = append(got, s)
-			peak = max(peak, q.Len()+1)
-			for k := rng.Intn(3); depth < 4 && k > 0; k-- {
-				schedule(q.Now()+Time(rng.Intn(20)), depth+1)
-			}
-		})
-	}
-	for i := 0; i < 500; i++ {
-		schedule(Time(rng.Intn(100)), 0)
-	}
-	q.Run()
-	slices.SortFunc(want, func(a, b stamp) int {
-		if a.at != b.at {
-			return cmp.Compare(a.at, b.at)
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("executed %d events out of (time, seq) order", len(got))
-	}
-	if len(q.slots) != peak {
-		t.Errorf("slab grew to %d slots for at most %d pending events", len(q.slots), peak)
-	}
 }
 
 type nopOp struct{ n int }

@@ -340,23 +340,21 @@ func (env *runEnv) issueNext(st *nodeState) {
 	env.q.AfterOp(env.p.TStartup, st)
 }
 
-// setupDone injects the unicast whose CPU setup just completed.
+// setupDone injects the unicast whose CPU setup just completed. Under the
+// all-port model the sender moves straight on to its next send; under the
+// one-port model deliver restarts it once this send has drained.
 func (env *runEnv) setupDone(st *nodeState) {
 	snd := st.sends[st.next-1]
-	switch env.p.Port {
-	case core.AllPort:
-		env.net.Send(snd.From, snd.To, env.bytes, env.deliverFn)
+	env.net.Send(snd.From, snd.To, env.bytes, env.deliverFn)
+	if env.p.Port == core.AllPort {
 		env.issueNext(st)
-	case core.OnePort:
-		env.net.Send(snd.From, snd.To, env.bytes, func(d wormhole.Delivery) {
-			env.deliver(d)
-			env.issueNext(st)
-		})
 	}
 }
 
 // deliver records a completed unicast and starts the receiver's software
-// overhead, after which the receiver begins its own forwarding work.
+// overhead, after which the receiver begins its own forwarding work. Under
+// the one-port model the sender's port is now free, so it sets up its next
+// send.
 func (env *runEnv) deliver(d wormhole.Delivery) {
 	res := env.res
 	if _, dup := res.Recv[d.To]; dup {
@@ -369,6 +367,9 @@ func (env *runEnv) deliver(d wormhole.Delivery) {
 	st := env.nodes.state(env, d.To)
 	st.stage = nodeRecvDone
 	env.q.AfterOp(env.p.TRecv, st)
+	if env.p.Port == core.OnePort {
+		env.issueNext(env.nodes.state(env, d.From))
+	}
 }
 
 // Instrumentation bundles the optional observers of a simulation run: a

@@ -1,0 +1,57 @@
+package traffic
+
+import (
+	"runtime/debug"
+	"testing"
+)
+
+// Pooled traffic runs allocate per-op bookkeeping, trees and results, but
+// nothing per event: the calendar, the network and the node tables are
+// reused across runs. The ceilings are the exact counts for the specs of
+// the root package's TrafficSaturation6Cube and TrafficChaosFaulted5Cube
+// benchmarks, so any new per-send or per-event allocation trips them.
+func TestRunAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled envs at random under -race")
+	}
+	// A collection empties the pools; keep it off while counting.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name string
+		spec func() *Spec
+		want float64
+	}{
+		{"saturation-6cube", func() *Spec {
+			return &Spec{
+				Dim:  6,
+				Seed: 1993,
+				Arrivals: &Arrivals{
+					Kind: "poisson", Count: 48, RatePerMS: 8,
+					Op: Template{Kind: KindMulticast, DestCount: 32, Bytes: 4096},
+				},
+			}
+		}, 1419},
+		{"chaos-faulted-5cube", func() *Spec {
+			return &Spec{
+				Dim:  5,
+				Seed: 1993,
+				Arrivals: &Arrivals{
+					Kind: "poisson", Count: 12, RatePerMS: 4,
+					Op: Template{Kind: KindFTMulticast, DestCount: 6, Bytes: 2048},
+				},
+				Faults: []FaultEvent{{Kind: FaultLink, Count: 2, Seed: 5}},
+			}
+		}, 2765},
+	} {
+		// Run canonicalizes its spec in place, so each call gets a fresh
+		// one, as in the benchmarks.
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := Run(tc.spec()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.want {
+			t.Errorf("%s: Run allocates %v objects per call, ceiling %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -26,7 +26,7 @@ echo '== go test -race'
 go test -race ./...
 
 echo '== fuzz seed corpora'
-go test -run Fuzz . ./internal/chain/ ./internal/core/
+go test -run Fuzz . ./internal/chain/ ./internal/core/ ./internal/event/
 
 echo '== benchmarks (smoke)'
 go test -run xxx -bench . -benchtime 1x .
