@@ -34,9 +34,14 @@ type (
 	Algorithm = core.Algorithm
 	// PortModel selects the node/router interface (one-port or all-port).
 	PortModel = core.PortModel
-	// Tree is a multicast implementation: a tree of constituent unicasts.
+	// Tree is a multicast implementation: a tree of constituent unicasts,
+	// indexed by slot. Order lists every reached node once, source first,
+	// breadth first; Sends[i] holds the sends of Order[i] in issue order,
+	// and the receiver of the k-th send in slot order is Order[k+1].
 	Tree = core.Tree
-	// StepSchedule is a stepwise execution of a multicast tree.
+	// StepSchedule is a stepwise execution of a multicast tree: its
+	// unicasts ordered by (Step, From, To), with RecvStep giving the step
+	// at which a node received the message.
 	StepSchedule = core.Schedule
 	// Contention is a violation of the paper's Definition 4.
 	Contention = core.Contention

@@ -115,16 +115,8 @@ func checkInstance(cube topology.Cube, src topology.NodeID, dests []topology.Nod
 		for _, a := range core.Algorithms() {
 			want := core.Build(cube, a, src, dests)
 			got := core.BuildDistributed(cube, a, src, dests)
-			for node, ws := range want.Sends {
-				gs := got.Sends[node]
-				if len(ws) != len(gs) {
-					return fail("%v: distributed build diverges at node %v", a, node)
-				}
-				for i := range ws {
-					if ws[i].To != gs[i].To {
-						return fail("%v: distributed build send %d of %v differs", a, i, node)
-					}
-				}
+			if err := core.SameTree(want, got); err != nil {
+				return fail("%v: distributed build diverges: %v", a, err)
 			}
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"hypercube"
 	"hypercube/internal/core"
 	"hypercube/internal/emulator"
-	"hypercube/internal/topology"
 )
 
 func main() {
@@ -43,9 +42,9 @@ func main() {
 
 	// The emergent structure equals the centrally built tree.
 	tree := hypercube.Multicast(cube, hypercube.WSort, src, dests)
-	match := true
-	for v, rec := range res.Receipts {
-		if rec.Forwards != len(tree.Sends[topology.NodeID(v)]) {
+	match := len(res.Receipts) == tree.NumUnicasts()
+	for i, v := range tree.Order[1:] {
+		if res.Receipts[v].Forwards != len(tree.Sends[i+1]) {
 			match = false
 		}
 	}

@@ -114,16 +114,8 @@ func FuzzMulticastInvariants(f *testing.F) {
 		for _, a := range core.Algorithms() {
 			want := core.Build(cube, a, src, dests)
 			got := core.BuildDistributed(cube, a, src, dests)
-			for node, ws := range want.Sends {
-				gs := got.Sends[node]
-				if len(ws) != len(gs) {
-					t.Fatalf("%v: distributed build diverges at node %v (src=%d dests=%v)", a, node, src, dests)
-				}
-				for i := range ws {
-					if ws[i].To != gs[i].To {
-						t.Fatalf("%v: distributed build send %d of node %v differs (src=%d dests=%v)", a, i, node, src, dests)
-					}
-				}
+			if err := core.SameTree(want, got); err != nil {
+				t.Fatalf("%v: distributed build diverges (src=%d dests=%v): %v", a, src, dests, err)
 			}
 		}
 	})

@@ -13,6 +13,7 @@ package chain
 
 import (
 	"fmt"
+	mathbits "math/bits"
 	"slices"
 
 	"hypercube/internal/bits"
@@ -28,19 +29,55 @@ type Chain []topology.NodeID
 // xored with the canonical source, deduplicated, sorted ascending, and
 // prefixed with the source's relative address 0. A destination equal to the
 // source is dropped (the source already holds the message).
+//
+// A dense destination set (c.Nodes() <= 64*len(dests)) is deduplicated and
+// ordered through a bitset over the cube, whose size is then at most one
+// word per destination; a sparse one is sorted. Both give the same chain.
 func Relative(c topology.Cube, src topology.NodeID, dests []topology.NodeID) Chain {
 	c.MustContain(src)
-	s := c.Canon(src)
-	out := make(Chain, 0, len(dests)+1)
-	out = append(out, 0)
+	out := make(Chain, 1, len(dests)+1) // out[0] = 0, the source
+	if c.Nodes() <= 64*len(dests) {
+		return appendDense(out, c, c.Canon(src), dests)
+	}
+	return appendSorted(out, c, c.Canon(src), dests)
+}
+
+// appendDense appends the distinct nonzero relative addresses of dests
+// (canonical source s) to out in ascending order through a bitset over
+// the cube.
+func appendDense(out Chain, c topology.Cube, s topology.NodeID, dests []topology.NodeID) Chain {
+	words := (c.Nodes() + 63) / 64
+	var stack [64]uint64 // cubes up to 4096 nodes need no heap bitset
+	set := stack[:min(words, len(stack))]
+	if words > len(stack) {
+		set = make([]uint64, words)
+	}
+	for _, d := range dests {
+		c.MustContain(d)
+		r := c.Canon(d) ^ s
+		set[r/64] |= 1 << (r % 64)
+	}
+	set[0] &^= 1 // the source
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, topology.NodeID(w*64+mathbits.TrailingZeros64(word)))
+		}
+	}
+	return out
+}
+
+// appendSorted is appendDense by sorting and compacting, for destination
+// sets too sparse to pay for a bitset over the cube.
+func appendSorted(out Chain, c topology.Cube, s topology.NodeID, dests []topology.NodeID) Chain {
+	first := len(out)
 	for _, d := range dests {
 		c.MustContain(d)
 		if r := c.Canon(d) ^ s; r != 0 {
 			out = append(out, r)
 		}
 	}
-	slices.Sort(out[1:])
-	return slices.Compact(out)
+	slices.Sort(out[first:])
+	return out[:first+len(slices.Compact(out[first:]))]
 }
 
 // Absolute translates the chain back to absolute addresses on cube c for

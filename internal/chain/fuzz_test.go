@@ -1,9 +1,12 @@
 package chain
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"hypercube/internal/bits"
 	"hypercube/internal/topology"
 )
 
@@ -78,6 +81,66 @@ func FuzzCubeCenterConsistency(f *testing.F) {
 				if (ch[i]&bit == ch[0]&bit) != inFirst {
 					t.Fatalf("split bit inconsistent at %d: chain=%v center=%d", i, ch, center)
 				}
+			}
+		}
+	})
+}
+
+// FuzzRelativePaths: Relative's bitset and sort paths build identical
+// chains — ascending, deduplicated, source dropped and 0 first — for
+// duplicate destinations, the source among them, both resolution orders,
+// and destination counts on both sides of the density threshold in every
+// dimension.
+func FuzzRelativePaths(f *testing.F) {
+	f.Add(uint8(1), uint32(1), uint16(3), int64(1), false)
+	f.Add(uint8(4), uint32(5), uint16(0), int64(2), true)
+	f.Add(uint8(10), uint32(700), uint16(15), int64(3), false) // just sparse
+	f.Add(uint8(10), uint32(700), uint16(16), int64(4), true)  // just dense
+	f.Add(uint8(13), uint32(77), uint16(200), int64(5), true)
+	f.Add(uint8(20), uint32(1<<20-1), uint16(16383), int64(6), false)
+	f.Add(uint8(20), uint32(12345), uint16(16384), int64(7), true)
+	f.Fuzz(func(t *testing.T, dim uint8, srcRaw uint32, count uint16, seed int64, lowToHigh bool) {
+		n := 1 + int(dim-1)%bits.MaxDim
+		res := topology.HighToLow
+		if lowToHigh {
+			res = topology.LowToHigh
+		}
+		c := topology.New(n, res)
+		src := topology.NodeID(srcRaw % uint32(c.Nodes()))
+		// Relative goes dense once len(dests) >= ceil(nodes/64).
+		threshold := (c.Nodes() + 63) / 64
+		m := int(count) % (2*threshold + 4)
+		rng := rand.New(rand.NewSource(seed))
+		dests := make([]topology.NodeID, m)
+		for i := range dests {
+			switch rng.Intn(4) {
+			case 0:
+				dests[i] = src
+			case 1:
+				if i > 0 {
+					dests[i] = dests[rng.Intn(i)]
+					break
+				}
+				fallthrough
+			default:
+				dests[i] = topology.NodeID(rng.Intn(c.Nodes()))
+			}
+		}
+		s := c.Canon(src)
+		dense := appendDense(Chain{0}, c, s, dests)
+		sorted := appendSorted(Chain{0}, c, s, dests)
+		if !slices.Equal(dense, sorted) {
+			t.Fatalf("%d-cube, %d dests: bitset %v, sort %v", n, m, dense, sorted)
+		}
+		if got := Relative(c, src, dests); !slices.Equal(got, sorted) {
+			t.Fatalf("%d-cube, %d dests: Relative %v, want %v", n, m, got, sorted)
+		}
+		if sorted[0] != 0 || !sorted.IsDimensionOrdered() {
+			t.Fatalf("%d-cube: malformed chain %v", n, sorted)
+		}
+		for _, d := range dests {
+			if r := c.Canon(d) ^ s; r != 0 && !slices.Contains(sorted, r) {
+				t.Fatalf("%d-cube: destination %v (relative %v) missing", n, d, r)
 			}
 		}
 	})

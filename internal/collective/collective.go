@@ -37,7 +37,7 @@ type Result struct {
 // Substrate lets a collective schedule run on a calendar and network owned
 // by someone else — a shared scenario (ncube.Session) with other concurrent
 // operations — instead of the private pair the standalone entry points
-// build. The schedule launches at the calendar's current time; the caller
+// borrow. The schedule launches at the calendar's current time; the caller
 // drives the queue. OnDone, if non-nil, fires on the calendar at the
 // instant the last node finishes, with Finish times in ABSOLUTE simulated
 // time (the standalone entry points, which launch at t=0, are the
@@ -57,12 +57,16 @@ type engine struct {
 	res       *Result
 	remaining int // nodes that have not finished yet
 	onDone    func(Result)
+	// session is the pooled calendar and network of a standalone run,
+	// released by finish; nil on a caller's Substrate.
+	session *ncube.Session
 }
 
 func newEngine(p ncube.Params, cube topology.Cube) *engine {
-	p.Validate()
-	q := &event.Queue{}
-	return newEngineWith(q, wormhole.New(q, cube, p.NetConfig()), p, cube, nil)
+	s := ncube.NewSession(p, cube, ncube.Instrumentation{})
+	e := newEngineWith(s.Queue(), s.Network(), p, cube, nil)
+	e.session = s
+	return e
 }
 
 func newEngineOn(sub Substrate) *engine {
@@ -98,6 +102,9 @@ func (e *engine) finished(v topology.NodeID, t event.Time) {
 
 func (e *engine) finish() Result {
 	e.q.MustRun(0, 0)
+	if e.session != nil {
+		e.session.Release()
+	}
 	return *e.res
 }
 

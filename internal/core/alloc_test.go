@@ -15,19 +15,20 @@ func allocWorkload() (topology.Cube, []topology.NodeID) {
 }
 
 // Build allocates a fixed number of objects per tree, independent of the
-// destination count: the relative chain, the tree, its presized Sends map,
-// Order, the contiguous send array and the job queue. A per-send or
-// per-sender allocation creeping back in trips these ceilings.
+// destination count: the relative chain, the tree, its Order and Sends
+// slices, the contiguous send array and the job queue. A per-send or
+// per-sender allocation, or a node-keyed map, creeping back in trips these
+// ceilings.
 func TestBuildAllocCeilings(t *testing.T) {
 	c, dests := allocWorkload()
 	for _, tc := range []struct {
 		a    Algorithm
 		want float64
 	}{
-		{UCube, 9},
-		{Maxport, 9},
-		{Combine, 9},
-		{WSort, 9},
+		{UCube, 6},
+		{Maxport, 6},
+		{Combine, 6},
+		{WSort, 6},
 	} {
 		got := testing.AllocsPerRun(20, func() { Build(c, tc.a, 0, dests) })
 		if got > tc.want {
@@ -36,9 +37,10 @@ func TestBuildAllocCeilings(t *testing.T) {
 	}
 }
 
-// NewSchedule allocates its result (schedule, Unicasts, Recv map) plus, for
-// the all-port model, a fixed set of scratch tables, including one arc-stamp
-// map presized to the unicast count; nothing per step.
+// NewSchedule allocates its result (schedule, Unicasts, the Order-aligned
+// receive steps) and the packed sort keys plus, for the all-port model, a
+// fixed set of scratch tables, including one arc-stamp map presized to the
+// unicast count; nothing per step, and no node-keyed map.
 func TestNewScheduleAllocCeilings(t *testing.T) {
 	c, dests := allocWorkload()
 	tr := Build(c, WSort, 0, dests)
@@ -46,8 +48,8 @@ func TestNewScheduleAllocCeilings(t *testing.T) {
 		pm   PortModel
 		want float64
 	}{
-		{OnePort, 6},
-		{AllPort, 13},
+		{OnePort, 4},
+		{AllPort, 11},
 	} {
 		got := testing.AllocsPerRun(20, func() { NewSchedule(tr, tc.pm) })
 		if got > tc.want {
@@ -71,8 +73,8 @@ func TestPayloadsAreCappedViews(t *testing.T) {
 			for _, a := range Algorithms() {
 				tr := Build(c, a, src, dests)
 				ref := BuildDistributed(c, a, src, dests)
-				for _, v := range tr.Order {
-					got, want := tr.Sends[v], ref.Sends[v]
+				for i, v := range tr.Order {
+					got, want := tr.Sends[i], ref.Sends[i]
 					if len(got) != len(want) {
 						t.Fatalf("%v: node %v has %d sends, distributed protocol %d", a, v, len(got), len(want))
 					}

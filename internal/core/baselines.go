@@ -12,10 +12,14 @@ import (
 // steps; on an all-port architecture the scheduler overlaps sends on
 // different channels but serializes sends sharing the first hop.
 func buildSeparate(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree {
-	t := newTree(c, SeparateAddressing, src, 1)
-	t.touch(src)
+	t := newTree(c, SeparateAddressing, src, len(ch))
+	sends := make([]Send, 0, len(ch)-1)
 	for i := 1; i < len(ch); i++ {
-		t.addSend(Send{From: src, To: t.abs(ch[i]), Payload: ch[i : i+1 : i+1]})
+		sends = append(sends, Send{From: src, To: t.abs(ch[i]), Payload: ch[i : i+1 : i+1]})
+	}
+	t.add(src, window(sends, 0))
+	for _, s := range sends {
+		t.add(s.To, nil)
 	}
 	return t
 }
@@ -26,27 +30,32 @@ func buildSeparate(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree {
 // destination. Non-destination relay processors receive and forward the
 // message in software, which is exactly the inefficiency the paper's
 // wormhole algorithms remove.
+//
+// Holders are processed in queue order: a node that receives across
+// dimension d splits its responsibility over dimensions d-1 down to 0,
+// exactly as in a level-by-level doubling, so the tree is the same and its
+// Order is breadth first.
 func buildSFBinomial(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree {
-	t := newTree(c, SFBinomial, src, 0)
-	t.touch(src)
-	if len(ch) < 2 {
-		return t
+	t := newTree(c, SFBinomial, src, len(ch))
+	type job struct {
+		rel  topology.NodeID
+		resp chain.Chain // destinations this holder must still cover
+		top  int         // highest dimension left to split on
 	}
-	dests := make(map[topology.NodeID]bool, len(ch)-1)
-	for _, rel := range ch[1:] {
-		dests[rel] = true
+	queue := []job{{0, ch[1:], -1}}
+	if len(ch) > 1 {
+		queue[0].top = ch.MaxDelta()
 	}
-	// holders maps relative addresses that currently have the message to
-	// the set of destinations they are responsible for.
-	responsibility := map[topology.NodeID][]topology.NodeID{0: ch[1:]}
-	top := ch.MaxDelta()
-	for d := top; d >= 0; d-- {
-		for _, holder := range holdersInOrder(responsibility) {
-			resp := responsibility[holder]
-			var keep, give []topology.NodeID
-			partner := holder ^ topology.NodeID(1<<uint(d))
+	for head := 0; head < len(queue); head++ {
+		j := queue[head]
+		from := t.abs(j.rel)
+		var sends []Send
+		resp := j.resp
+		for d := j.top; d >= 0; d-- {
+			bit := topology.NodeID(1) << uint(d)
+			var keep, give chain.Chain
 			for _, dst := range resp {
-				if dst&topology.NodeID(1<<uint(d)) == holder&topology.NodeID(1<<uint(d)) {
+				if dst&bit == j.rel&bit {
 					keep = append(keep, dst)
 				} else {
 					give = append(give, dst)
@@ -55,35 +64,22 @@ func buildSFBinomial(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree
 			if len(give) == 0 {
 				continue
 			}
-			responsibility[holder] = keep
+			resp = keep
 			// The address field carried to the partner is the set of
 			// destinations it must still cover — itself excluded.
+			partner := j.rel ^ bit
 			rest := make(chain.Chain, 0, len(give))
 			for _, dst := range give {
 				if dst != partner {
 					rest = append(rest, dst)
 				}
 			}
-			t.addSend(Send{From: t.abs(holder), To: t.abs(partner), Payload: slices.Clip(rest)})
-			responsibility[partner] = rest
+			sends = append(sends, Send{From: from, To: t.abs(partner), Payload: slices.Clip(rest)})
+			queue = append(queue, job{partner, rest, d - 1})
 		}
+		t.add(from, slices.Clip(sends))
 	}
 	return t
-}
-
-// holdersInOrder returns the current holders sorted ascending so the
-// doubling proceeds deterministically.
-func holdersInOrder(resp map[topology.NodeID][]topology.NodeID) []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(resp))
-	for v := range resp {
-		out = append(out, v)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // Relays returns the non-destination, non-source processors that must

@@ -34,13 +34,15 @@ func StepLowerBound(pm PortModel, n, m int) int {
 // Height returns the tree's depth in unicast hops — the minimum number of
 // steps its schedule can possibly take on any port model.
 func (t *Tree) Height() int {
-	depth := map[uint32]int{uint32(t.Source): 0}
-	max := 0
-	for _, s := range t.Unicasts() {
-		d := depth[uint32(s.From)] + 1
-		depth[uint32(s.To)] = d
-		if d > max {
-			max = d
+	depth := make([]int, len(t.Order))
+	max, k := 0, 1
+	for i, sends := range t.Sends {
+		for range sends {
+			depth[k] = depth[i] + 1
+			if depth[k] > max {
+				max = depth[k]
+			}
+			k++
 		}
 	}
 	return max

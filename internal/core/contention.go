@@ -33,19 +33,20 @@ func (c Contention) String() string {
 func CheckContention(s *Schedule) []Contention {
 	t := s.Tree
 	us := s.Unicasts
-	// Precompute arcs and reachable sets lazily per sender.
 	arcs := make([][]topology.Arc, len(us))
 	for i, u := range us {
 		arcs[i] = t.Cube.PathArcs(u.From, u.To)
 	}
-	reach := map[topology.NodeID]map[topology.NodeID]bool{}
-	reachOf := func(v topology.NodeID) map[topology.NodeID]bool {
-		r, ok := reach[v]
-		if !ok {
-			r = t.Reachable(v)
-			reach[v] = r
+	// R_u by slot, walked lazily once per earlier sender's slot. Senders
+	// are always reached, so their slots exist.
+	reach := make([][]bool, len(t.Order))
+	reaches := func(u, x topology.NodeID) bool {
+		su, _ := s.slot(u)
+		if reach[su] == nil {
+			reach[su] = t.reachSlots(su)
 		}
-		return r
+		sx, _ := s.slot(x)
+		return reach[su][sx]
 	}
 	var out []Contention
 	for i := 0; i < len(us); i++ {
@@ -58,7 +59,7 @@ func CheckContention(s *Schedule) []Contention {
 			if !ok {
 				continue
 			}
-			if us[a].Step < us[b].Step && reachOf(us[a].From)[us[b].From] {
+			if us[a].Step < us[b].Step && reaches(us[a].From, us[b].From) {
 				continue
 			}
 			out = append(out, Contention{Earlier: us[a], Later: us[b], SharedArc: shared})
@@ -67,14 +68,14 @@ func CheckContention(s *Schedule) []Contention {
 	return out
 }
 
+// sharedArc returns the first arc of b that a also uses. A path has at
+// most dim arcs, so comparing the two directly beats hashing either.
 func sharedArc(a, b []topology.Arc) (topology.Arc, bool) {
-	set := make(map[topology.Arc]bool, len(a))
-	for _, x := range a {
-		set[x] = true
-	}
 	for _, y := range b {
-		if set[y] {
-			return y, true
+		for _, x := range a {
+			if x == y {
+				return y, true
+			}
 		}
 	}
 	return topology.Arc{}, false

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"hypercube/internal/topology"
 )
 
 // Format renders the scheduled multicast as an indented tree with step
@@ -17,35 +15,40 @@ import (
 //	└─(1)→ 0101
 func (s *Schedule) Format() string {
 	t := s.Tree
-	step := map[[2]topology.NodeID]int{}
-	for _, u := range s.Unicasts {
-		step[[2]topology.NodeID{u.From, u.To}] = u.Step
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s multicast from %s (%s, %d steps)\n",
 		t.Algorithm, t.Cube.Binary(t.Source), s.Port, s.Steps())
-	var rec func(node topology.NodeID, prefix string)
-	rec = func(node topology.NodeID, prefix string) {
-		ordered := append([]Send(nil), t.Sends[node]...)
-		sort.SliceStable(ordered, func(i, j int) bool {
-			si := step[[2]topology.NodeID{node, ordered[i].To}]
-			sj := step[[2]topology.NodeID{node, ordered[j].To}]
-			if si != sj {
-				return si < sj
+	// first[i] is the slot receiving Sends[i][0]; Sends[i][j] reaches
+	// slot first[i]+j.
+	first := make([]int, len(t.Sends))
+	next := 1
+	for i, sends := range t.Sends {
+		first[i] = next
+		next += len(sends)
+	}
+	var rec func(i int, prefix string)
+	rec = func(i int, prefix string) {
+		kids := make([]int, len(t.Sends[i]))
+		for j := range kids {
+			kids[j] = first[i] + j
+		}
+		sort.SliceStable(kids, func(a, b int) bool {
+			sa, sb := s.recv[kids[a]], s.recv[kids[b]]
+			if sa != sb {
+				return sa < sb
 			}
-			return ordered[i].To < ordered[j].To
+			return t.Order[kids[a]] < t.Order[kids[b]]
 		})
-		for i, snd := range ordered {
+		for n, k := range kids {
 			branch, cont := "├─", "│  "
-			if i == len(ordered)-1 {
+			if n == len(kids)-1 {
 				branch, cont = "└─", "   "
 			}
-			fmt.Fprintf(&b, "%s%s(%d)→ %s\n", prefix, branch,
-				step[[2]topology.NodeID{node, snd.To}], t.Cube.Binary(snd.To))
-			rec(snd.To, prefix+cont)
+			fmt.Fprintf(&b, "%s%s(%d)→ %s\n", prefix, branch, s.recv[k], t.Cube.Binary(t.Order[k]))
+			rec(k, prefix+cont)
 		}
 	}
 	b.WriteString(t.Cube.Binary(t.Source) + "\n")
-	rec(t.Source, "")
+	rec(0, "")
 	return b.String()
 }

@@ -71,16 +71,8 @@ func FuzzDistributedEquivalence(f *testing.F) {
 		for _, a := range Algorithms() {
 			want := Build(c, a, src, dests)
 			got := BuildDistributed(c, a, src, dests)
-			for node, ws := range want.Sends {
-				gs := got.Sends[node]
-				if len(ws) != len(gs) {
-					t.Fatalf("%v: node %v send count %d vs %d", a, node, len(gs), len(ws))
-				}
-				for i := range ws {
-					if ws[i].To != gs[i].To {
-						t.Fatalf("%v: node %v send %d differs", a, node, i)
-					}
-				}
+			if err := SameTree(want, got); err != nil {
+				t.Fatalf("%v: %v", a, err)
 			}
 		}
 	})

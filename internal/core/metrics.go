@@ -39,19 +39,19 @@ func (m Metrics) String() string {
 // accounting.
 func (t *Tree) ComputeMetrics(dests []topology.NodeID) Metrics {
 	m := Metrics{Height: t.Height()}
-	for node, sends := range t.Sends {
+	for _, sends := range t.Sends {
 		if len(sends) > m.MaxOutDegree {
 			m.MaxOutDegree = len(sends)
 		}
-		seen := map[int]bool{}
+		var used uint32 // outgoing channels taken so far, one bit per dimension
 		for _, s := range sends {
 			m.Unicasts++
 			m.TotalHops += topology.Distance(s.From, s.To)
-			d := t.Cube.FirstHop(node, s.To)
-			if seen[d] {
+			bit := uint32(1) << uint(t.Cube.FirstHop(s.From, s.To))
+			if used&bit != 0 {
 				m.ChannelReuses++
 			}
-			seen[d] = true
+			used |= bit
 		}
 	}
 	if dests != nil {

@@ -181,7 +181,8 @@ func TestFigure8bMaxportFourSteps(t *testing.T) {
 	}
 	// All unicasts from a common node go out on distinct channels, hence
 	// all in the same step (the all-port property of Maxport).
-	for node, sends := range tr.Sends {
+	for i, sends := range tr.Sends {
+		node := tr.Order[i]
 		seen := map[int]bool{}
 		for _, snd := range sends {
 			d := fig3Cube.FirstHop(node, snd.To)

@@ -58,6 +58,40 @@ func TestCoverageAllAlgorithms(t *testing.T) {
 	}
 }
 
+// Validate enforces the slot invariant, not just coverage: each corruption
+// below leaves the unicast set a valid tree but breaks Order.
+func TestValidateRejectsBrokenSlots(t *testing.T) {
+	c := topology.New(5, topology.HighToLow)
+	dests := []topology.NodeID{1, 3, 5, 7, 11, 12, 14, 15, 20, 31}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(tr *Tree)
+	}{
+		{"receivers swapped", func(tr *Tree) {
+			tr.Order[1], tr.Order[2] = tr.Order[2], tr.Order[1]
+			tr.Sends[1], tr.Sends[2] = tr.Sends[2], tr.Sends[1]
+		}},
+		{"leaf dropped", func(tr *Tree) {
+			tr.Order, tr.Sends = tr.Order[:len(tr.Order)-1], tr.Sends[:len(tr.Sends)-1]
+		}},
+		{"source not first", func(tr *Tree) { tr.Source = tr.Order[1] }},
+		{"node listed twice", func(tr *Tree) { tr.Order[len(tr.Order)-1] = tr.Order[1] }},
+		{"sends misaligned", func(tr *Tree) { tr.Sends = tr.Sends[1:] }},
+	} {
+		tr := Build(c, WSort, 0, dests)
+		tr.Validate()
+		tc.corrupt(tr)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Validate accepted the tree", tc.name)
+				}
+			}()
+			tr.Validate()
+		}()
+	}
+}
+
 // The paper's central claim, Theorem 6: W-sort multicasts are
 // contention-free. Maxport on a dimension-ordered chain likewise. Verified
 // under the all-port schedule with the Definition 4 checker.
@@ -110,9 +144,9 @@ func TestMaxportWSortNeverDefer(t *testing.T) {
 		for _, a := range []Algorithm{Maxport, WSort} {
 			s := NewSchedule(Build(c, a, src, dests), AllPort)
 			for _, u := range s.Unicasts {
-				if u.Step != s.Recv[u.From]+1 {
+				if recv, _ := s.RecvStep(u.From); u.Step != recv+1 {
 					t.Fatalf("%v: send %v->%v at step %d but sender received at %d",
-						a, u.From, u.To, u.Step, s.Recv[u.From])
+						a, u.From, u.To, u.Step, recv)
 				}
 			}
 		}

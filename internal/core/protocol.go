@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"hypercube/internal/chain"
 	"hypercube/internal/topology"
@@ -146,24 +147,47 @@ func LocalSendsAt(c topology.Cube, a Algorithm, src, node topology.NodeID, paylo
 
 // BuildDistributed constructs the multicast tree by repeatedly applying the
 // local forwarding rule, starting from the initiator's address field — the
-// execution a real machine performs. It must produce exactly the tree of
-// Build (asserted by tests).
+// execution a real machine performs. Deliveries are handled in queue order,
+// so the result is slot for slot the tree of Build (asserted by SameTree).
 func BuildDistributed(c topology.Cube, a Algorithm, src topology.NodeID, dests []topology.NodeID) *Tree {
 	t := newTree(c, a, src, 0)
-	t.touch(src)
 	type delivery struct {
 		node    topology.NodeID
 		payload chain.Chain
 	}
 	queue := []delivery{{src, StartPayload(c, a, src, dests)}}
-	for len(queue) > 0 {
-		d := queue[0]
-		queue = queue[1:]
-		t.touch(d.node)
-		for _, snd := range LocalSendsAt(c, a, src, d.node, d.payload) {
-			t.addSend(snd)
+	for head := 0; head < len(queue); head++ {
+		d := queue[head]
+		sends := LocalSendsAt(c, a, src, d.node, d.payload)
+		for _, snd := range sends {
 			queue = append(queue, delivery{snd.To, snd.Payload})
 		}
+		t.add(d.node, sends)
 	}
 	return t
+}
+
+// SameTree reports how got differs from want, or nil when the two trees
+// are identical slot for slot: the same Order and, for every slot, the same
+// sends with equal From, To and Payload. It is the exact equivalence check
+// between the central and the distributed construction.
+func SameTree(want, got *Tree) error {
+	if !slices.Equal(want.Order, got.Order) {
+		return fmt.Errorf("core: Order %v, want %v", got.Order, want.Order)
+	}
+	if len(want.Sends) != len(got.Sends) {
+		return fmt.Errorf("core: %d send lists, want %d", len(got.Sends), len(want.Sends))
+	}
+	for i, ws := range want.Sends {
+		gs := got.Sends[i]
+		if len(gs) != len(ws) {
+			return fmt.Errorf("core: node %v has %d sends, want %d", want.Order[i], len(gs), len(ws))
+		}
+		for j, w := range ws {
+			if g := gs[j]; g.From != w.From || g.To != w.To || !slices.Equal(g.Payload, w.Payload) {
+				return fmt.Errorf("core: node %v send %d is %v, want %v", want.Order[i], j, g, w)
+			}
+		}
+	}
+	return nil
 }

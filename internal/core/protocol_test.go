@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hypercube/internal/chain"
@@ -24,30 +25,48 @@ func TestBuildDistributedMatchesBuild(t *testing.T) {
 			for _, a := range Algorithms() {
 				want := Build(c, a, src, dests)
 				got := BuildDistributed(c, a, src, dests)
-				assertSameTree(t, a, want, got)
+				if err := SameTree(want, got); err != nil {
+					t.Fatalf("%v: %v", a, err)
+				}
 			}
 		}
 	}
 }
 
-func assertSameTree(t *testing.T, a Algorithm, want, got *Tree) {
-	t.Helper()
-	wu, gu := want.Unicasts(), got.Unicasts()
-	if len(wu) != len(gu) {
-		t.Fatalf("%v: unicast count %d vs %d", a, len(gu), len(wu))
-	}
-	// Compare per-sender ordered send lists (global interleavings of
-	// independent senders may differ, and the builders may or may not
-	// record leaf nodes with zero sends).
-	for node, ws := range want.Sends {
-		gs := got.Sends[node]
-		if len(ws) != len(gs) {
-			t.Fatalf("%v: sends of node %v differ in count", a, node)
+// SameTree compares Order and every Send field in both directions: a
+// sender missing on either side, a payload element, a receiver or the
+// order of slots each make it fail.
+func TestSameTreeIsExact(t *testing.T) {
+	c := topology.New(5, topology.HighToLow)
+	dests := []topology.NodeID{1, 3, 5, 7, 11, 12, 14, 15, 20, 31}
+	for _, tc := range []struct {
+		name   string
+		mutate func(tr *Tree)
+	}{
+		{"payload element", func(tr *Tree) {
+			p := slices.Clone(tr.Sends[0][0].Payload)
+			p[len(p)-1] ^= 1
+			tr.Sends[0][0].Payload = p
+		}},
+		{"receiver", func(tr *Tree) { tr.Sends[0][1].To ^= 1 }},
+		{"sender", func(tr *Tree) { tr.Sends[0][0].From ^= 1 }},
+		{"extra send", func(tr *Tree) {
+			last := len(tr.Sends) - 1
+			tr.Sends[last] = append(tr.Sends[last], Send{From: tr.Order[last], To: 2})
+		}},
+		{"slots swapped", func(tr *Tree) {
+			tr.Order[1], tr.Order[2] = tr.Order[2], tr.Order[1]
+			tr.Sends[1], tr.Sends[2] = tr.Sends[2], tr.Sends[1]
+		}},
+	} {
+		want := Build(c, WSort, 0, dests)
+		got := BuildDistributed(c, WSort, 0, dests)
+		if err := SameTree(want, got); err != nil {
+			t.Fatalf("unmutated: %v", err)
 		}
-		for i := range ws {
-			if ws[i].To != gs[i].To || !reflect.DeepEqual(ws[i].Payload, gs[i].Payload) {
-				t.Fatalf("%v: node %v send %d differs: %v vs %v", a, node, i, gs[i], ws[i])
-			}
+		tc.mutate(got)
+		if SameTree(want, got) == nil || SameTree(got, want) == nil {
+			t.Errorf("%s: SameTree missed the difference", tc.name)
 		}
 	}
 }
@@ -62,9 +81,9 @@ func TestLocalSendsMatchTreeSends(t *testing.T) {
 		dests := randomDests(rng, 6, src, 1+rng.Intn(40))
 		for _, a := range []Algorithm{UCube, Maxport, Combine, WSort} {
 			tr := Build(c, a, src, dests)
-			for _, snd := range tr.Unicasts() {
+			for k, snd := range tr.Unicasts() {
 				got := LocalSends(c, a, src, snd.Payload)
-				want := tr.Sends[snd.To]
+				want := tr.Sends[k+1] // the receiver of send k holds slot k+1
 				if len(got) != len(want) {
 					t.Fatalf("%v: node %v local %d sends, tree %d", a, snd.To, len(got), len(want))
 				}

@@ -1,10 +1,11 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
+	"hypercube/internal/bits"
 	"hypercube/internal/topology"
 )
 
@@ -42,28 +43,49 @@ type Unicast struct {
 type Schedule struct {
 	Tree     *Tree
 	Port     PortModel
-	Unicasts []Unicast
-	// Recv maps every reached node to the step at which it received the
-	// message; the source maps to 0.
-	Recv map[topology.NodeID]int
+	Unicasts []Unicast // ordered by (Step, From, To)
+
+	// recv[i] is the step at which Tree.Order[i] received the message;
+	// the source's is 0.
+	recv []int
+	// slots maps a node to its slot, built on first use.
+	slotsOnce sync.Once
+	slots     map[topology.NodeID]int32
 }
 
 // Steps returns the total number of steps: the largest receive step.
 func (s *Schedule) Steps() int {
 	max := 0
-	for _, u := range s.Unicasts {
-		if u.Step > max {
-			max = u.Step
+	for _, st := range s.recv {
+		if st > max {
+			max = st
 		}
 	}
 	return max
 }
 
 // RecvStep returns the step at which node v received the message and
-// whether v is reached at all (the source reports step 0, true).
+// whether v is reached at all (the source reports step 0, true). The first
+// call indexes the tree's nodes once; every call is then a single lookup.
 func (s *Schedule) RecvStep(v topology.NodeID) (int, bool) {
-	st, ok := s.Recv[v]
-	return st, ok
+	i, ok := s.slot(v)
+	if !ok {
+		return 0, false
+	}
+	return s.recv[i], true
+}
+
+// slot returns v's slot in s.Tree.Order through an index built on first
+// use.
+func (s *Schedule) slot(v topology.NodeID) (int, bool) {
+	s.slotsOnce.Do(func() {
+		s.slots = make(map[topology.NodeID]int32, len(s.Tree.Order))
+		for i, u := range s.Tree.Order {
+			s.slots[u] = int32(i)
+		}
+	})
+	i, ok := s.slots[v]
+	return int(i), ok
 }
 
 // NewSchedule runs the stepwise execution model for the given port model.
@@ -90,33 +112,41 @@ func NewSchedule(t *Tree, pm PortModel) *Schedule {
 	}
 }
 
-// newSchedule returns an empty schedule sized for t's unicasts, with the
-// source reached at step 0.
+// newSchedule returns an empty schedule sized for t, with every slot but
+// the source's unreached (-1).
 func newSchedule(t *Tree, pm PortModel) *Schedule {
-	n := t.NumUnicasts()
 	s := &Schedule{
 		Tree:     t,
 		Port:     pm,
-		Unicasts: make([]Unicast, 0, n),
-		Recv:     make(map[topology.NodeID]int, n+1),
+		Unicasts: make([]Unicast, 0, t.NumUnicasts()),
+		recv:     make([]int, len(t.Order)),
 	}
-	s.Recv[t.Source] = 0
+	for i := 1; i < len(s.recv); i++ {
+		s.recv[i] = -1
+	}
 	return s
+}
+
+// launch records the unicast of a send at step and the step at which its
+// receiver, Tree.Order[to], holds the message.
+func (s *Schedule) launch(from, to topology.NodeID, slot, step int) {
+	s.Unicasts = append(s.Unicasts, Unicast{From: from, To: to, Step: step})
+	s.recv[slot] = step
 }
 
 func scheduleOnePort(t *Tree) *Schedule {
 	s := newSchedule(t, OnePort)
-	// Process nodes in reception order; a FIFO over t.Order works because
-	// construction order reaches parents before children.
-	for _, v := range t.Order {
-		base, ok := s.Recv[v]
-		if !ok {
-			panic(fmt.Sprintf("core: node %d scheduled before reached", v))
+	// Process nodes in slot order: every receiver's slot follows its
+	// sender's, so a node's receive step is known before it is processed.
+	k := 1 // slot of the next send's receiver
+	for i, sends := range t.Sends {
+		base := s.recv[i]
+		if base < 0 {
+			panic(fmt.Sprintf("core: node %d scheduled before reached", t.Order[i]))
 		}
-		for k, snd := range t.Sends[v] {
-			step := base + k + 1
-			s.Unicasts = append(s.Unicasts, Unicast{From: snd.From, To: snd.To, Step: step})
-			s.Recv[snd.To] = step
+		for j, snd := range sends {
+			s.launch(snd.From, snd.To, k, base+j+1)
+			k++
 		}
 	}
 	sortUnicasts(s.Unicasts)
@@ -124,34 +154,34 @@ func scheduleOnePort(t *Tree) *Schedule {
 }
 
 // pendingSend is a send the all-port scheduler has not launched yet, with
-// its first-hop channel resolved once.
+// its first-hop channel and its receiver's slot resolved once.
 type pendingSend struct {
 	from, to topology.NodeID
-	dim      int
+	dim      int32
+	slot     int32
 }
 
 func scheduleAllPort(t *Tree) *Schedule {
 	s := newSchedule(t, AllPort)
 	dim := t.Cube.Dim()
 	// Every sender's pending sends, in issue order, as a window of one
-	// array indexed by the sender's position in t.Order; a step compacts
-	// each window in place.
+	// array indexed by the sender's slot; a step compacts each window in
+	// place.
 	all := make([]pendingSend, 0, cap(s.Unicasts))
 	pending := make([][]pendingSend, len(t.Order))
-	for i, v := range t.Order {
+	for i, sends := range t.Sends {
 		first := len(all)
-		for _, snd := range t.Sends[v] {
-			all = append(all, pendingSend{snd.From, snd.To, t.Cube.FirstHop(snd.From, snd.To)})
+		for _, snd := range sends {
+			all = append(all, pendingSend{snd.From, snd.To, int32(t.Cube.FirstHop(snd.From, snd.To)), int32(len(all) + 1)})
 		}
 		pending[i] = all[first:len(all):len(all)]
 	}
 	remaining := len(all)
 	total := remaining
 	// claimed and usedChannel hold the step that last took an arc, or a
-	// sender's outgoing channel (indexed by the sender's Order position
-	// times dim plus the channel's dimension). Stamping with the step
-	// number makes every step start with nothing claimed without clearing
-	// anything.
+	// sender's outgoing channel (indexed by the sender's slot times dim
+	// plus the channel's dimension). Stamping with the step number makes
+	// every step start with nothing claimed without clearing anything.
 	claimed := make(map[topology.Arc]int32, total)
 	usedChannel := make([]int32, len(t.Order)*dim)
 	arcs := make([]topology.Arc, 0, dim)
@@ -160,19 +190,17 @@ func scheduleAllPort(t *Tree) *Schedule {
 			panic("core: all-port scheduler failed to make progress")
 		}
 		stamp := int32(step)
-		// Deterministic sender order: construction order.
-		for i, v := range t.Order {
-			sends := pending[i]
+		// Deterministic sender order: slot order.
+		for i, sends := range pending {
 			if len(sends) == 0 {
 				continue
 			}
-			recv, ok := s.Recv[v]
-			if !ok || recv >= step {
+			if recv := s.recv[i]; recv < 0 || recv >= step {
 				continue // not yet holding the message at this step
 			}
 			kept := sends[:0]
 			for _, snd := range sends {
-				ch := i*dim + snd.dim
+				ch := i*dim + int(snd.dim)
 				if usedChannel[ch] == stamp {
 					kept = append(kept, snd)
 					continue
@@ -196,8 +224,7 @@ func scheduleAllPort(t *Tree) *Schedule {
 				for _, a := range arcs {
 					claimed[a] = stamp
 				}
-				s.Unicasts = append(s.Unicasts, Unicast{From: snd.from, To: snd.to, Step: step})
-				s.Recv[snd.to] = step
+				s.launch(snd.from, snd.to, int(snd.slot), step)
 				remaining--
 			}
 			pending[i] = kept
@@ -208,15 +235,17 @@ func scheduleAllPort(t *Tree) *Schedule {
 }
 
 // sortUnicasts orders a schedule by (Step, From, To). Every node receives
-// at most once, so the key has no ties and an unstable sort is exact.
+// at most once, so the key has no ties. Addresses fit in bits.MaxDim bits,
+// so each unicast packs into one integer key Step<<40 | From<<20 | To, and
+// the keys sort without a comparator callback.
 func sortUnicasts(us []Unicast) {
-	slices.SortFunc(us, func(a, b Unicast) int {
-		if a.Step != b.Step {
-			return cmp.Compare(a.Step, b.Step)
-		}
-		if a.From != b.From {
-			return cmp.Compare(a.From, b.From)
-		}
-		return cmp.Compare(a.To, b.To)
-	})
+	const w, mask = bits.MaxDim, 1<<bits.MaxDim - 1
+	keys := make([]uint64, len(us))
+	for i, u := range us {
+		keys[i] = uint64(u.Step)<<(2*w) | uint64(u.From)<<w | uint64(u.To)
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		us[i] = Unicast{From: topology.NodeID(k >> w & mask), To: topology.NodeID(k & mask), Step: int(k >> (2 * w))}
+	}
 }

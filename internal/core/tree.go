@@ -8,7 +8,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"hypercube/internal/chain"
 	"hypercube/internal/topology"
@@ -85,18 +85,22 @@ type Send struct {
 }
 
 // Tree is a multicast implementation: a tree of unicasts rooted at Source
-// covering every destination. Sends are stored grouped by sender in issue
-// order — the order in which the algorithm emits them at that node, which
-// the schedulers must respect per outgoing channel.
+// covering every destination, indexed by position ("slot") in Order.
+//
+// Order lists every reached node exactly once: the source first, then the
+// receivers in the order the construction queue reached them (breadth
+// first). Sends[i] holds the sends of Order[i] in issue order — the order
+// in which the algorithm emits them at that node, which the schedulers
+// must respect per outgoing channel — and is nil for a leaf. Flattening
+// Sends slot by slot lists every unicast once, and the receiver of
+// flattened send k is Order[k+1]; a sender's slot therefore precedes the
+// slots of all its receivers. Validate checks this invariant.
 type Tree struct {
 	Cube      topology.Cube
 	Source    topology.NodeID
 	Algorithm Algorithm
-	// Sends maps each sending node to its ordered outgoing unicasts.
-	Sends map[topology.NodeID][]Send
-	// Order lists senders in construction order (source first, then
-	// recipients in the order they were reached). Deterministic.
-	Order []topology.NodeID
+	Order     []topology.NodeID
+	Sends     [][]Send
 }
 
 // Build constructs the multicast tree for algorithm a from src to dests on
@@ -150,7 +154,8 @@ func nextCombine(ch chain.Chain, left, right int) int {
 //
 // A chain of m+1 nodes yields exactly m sends, and each sender emits all of
 // its sends in one run of the inner loop, so the sends live in one
-// contiguous array and each sender's list is a capped window of it. Every
+// contiguous array and each sender's list is a capped window of it. The job
+// queue is the tree's Order: job h > 0 is the receiver of send h-1. Every
 // payload is a capped window of ch itself: the tree owns ch from here on.
 func buildChainTree(c topology.Cube, a Algorithm, src topology.NodeID, ch chain.Chain, policy func(chain.Chain, int, int) int) *Tree {
 	t := newTree(c, a, src, len(ch))
@@ -171,25 +176,35 @@ func buildChainTree(c topology.Cube, a Algorithm, src topology.NodeID, ch chain.
 			queue = append(queue, job{next, right})
 			right = next - 1
 		}
-		var own []Send // nil for a leaf, as touch leaves it
-		if n := len(sends); n > first {
-			own = sends[first:n:n]
-		}
-		t.Order = append(t.Order, from)
-		t.Sends[from] = own
+		t.add(from, window(sends, first))
 	}
 	return t
 }
 
-// newTree returns an empty tree with room for size senders.
+// window returns sends[first:] capped at its length, or nil when empty.
+func window(sends []Send, first int) []Send {
+	n := len(sends)
+	if n == first {
+		return nil
+	}
+	return sends[first:n:n]
+}
+
+// newTree returns an empty tree with room for size slots.
 func newTree(c topology.Cube, a Algorithm, src topology.NodeID, size int) *Tree {
 	return &Tree{
 		Cube:      c,
 		Source:    src,
 		Algorithm: a,
-		Sends:     make(map[topology.NodeID][]Send, size),
 		Order:     make([]topology.NodeID, 0, size),
+		Sends:     make([][]Send, 0, size),
 	}
+}
+
+// add appends the next slot: node v and its sends.
+func (t *Tree) add(v topology.NodeID, sends []Send) {
+	t.Order = append(t.Order, v)
+	t.Sends = append(t.Sends, sends)
 }
 
 // abs converts a relative canonical address to an absolute address for this
@@ -198,29 +213,12 @@ func (t *Tree) abs(rel topology.NodeID) topology.NodeID {
 	return t.Cube.Canon(rel ^ t.Cube.Canon(t.Source))
 }
 
-// rel converts an absolute address to relative canonical space.
-func (t *Tree) rel(abs topology.NodeID) topology.NodeID {
-	return t.Cube.Canon(abs) ^ t.Cube.Canon(t.Source)
-}
-
-func (t *Tree) touch(v topology.NodeID) {
-	if _, ok := t.Sends[v]; !ok {
-		t.Sends[v] = nil
-		t.Order = append(t.Order, v)
-	}
-}
-
-func (t *Tree) addSend(s Send) {
-	t.touch(s.From)
-	t.Sends[s.From] = append(t.Sends[s.From], s)
-}
-
-// Unicasts returns every constituent unicast, senders in construction order
-// and each sender's sends in issue order.
+// Unicasts returns every constituent unicast, senders in Order and each
+// sender's sends in issue order.
 func (t *Tree) Unicasts() []Send {
-	var out []Send
-	for _, v := range t.Order {
-		out = append(out, t.Sends[v]...)
+	out := make([]Send, 0, t.NumUnicasts())
+	for _, sends := range t.Sends {
+		out = append(out, sends...)
 	}
 	return out
 }
@@ -228,74 +226,97 @@ func (t *Tree) Unicasts() []Send {
 // NumUnicasts returns the number of constituent unicasts, which is also the
 // number of receivers: a tree reaches every node at most once.
 func (t *Tree) NumUnicasts() int {
-	n := 0
-	for _, v := range t.Order {
-		n += len(t.Sends[v])
-	}
-	return n
+	return len(t.Order) - 1
 }
 
 // Destinations returns the set of nodes that receive the message, in
 // ascending address order. For chain algorithms this equals the destination
 // set; for SFBinomial it also includes relay processors.
 func (t *Tree) Destinations() []topology.NodeID {
-	set := map[topology.NodeID]bool{}
-	for _, s := range t.Unicasts() {
-		set[s.To] = true
-	}
-	out := make([]topology.NodeID, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(t.Order[1:])
+	slices.Sort(out)
 	return out
 }
 
 // Parent returns each receiver's sender. The source has no entry.
 func (t *Tree) Parent() map[topology.NodeID]topology.NodeID {
-	p := make(map[topology.NodeID]topology.NodeID)
-	for _, s := range t.Unicasts() {
-		p[s.To] = s.From
+	p := make(map[topology.NodeID]topology.NodeID, t.NumUnicasts())
+	for _, sends := range t.Sends {
+		for _, s := range sends {
+			p[s.To] = s.From
+		}
 	}
 	return p
+}
+
+// reachSlots marks R_u for u = Order[su] by slot: u and every node that
+// receives through it. Receivers follow their senders in Order, so one
+// forward pass over the flattened sends finds the whole subtree.
+func (t *Tree) reachSlots(su int) []bool {
+	in := make([]bool, len(t.Order))
+	in[su] = true
+	k := 1
+	for i, sends := range t.Sends {
+		for range sends {
+			if in[i] {
+				in[k] = true
+			}
+			k++
+		}
+	}
+	return in
 }
 
 // Reachable returns R_u (Definition 3): the nodes that receive the message
 // directly or indirectly through u, plus u itself.
 func (t *Tree) Reachable(u topology.NodeID) map[topology.NodeID]bool {
-	r := map[topology.NodeID]bool{u: true}
-	stack := []topology.NodeID{u}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range t.Sends[v] {
-			if !r[s.To] {
-				r[s.To] = true
-				stack = append(stack, s.To)
-			}
+	su := slices.Index(t.Order, u)
+	if su < 0 {
+		return map[topology.NodeID]bool{u: true}
+	}
+	r := map[topology.NodeID]bool{}
+	for i, in := range t.reachSlots(su) {
+		if in {
+			r[t.Order[i]] = true
 		}
 	}
 	return r
 }
 
-// Validate panics unless the tree is a well-formed multicast covering
-// exactly the expected destination set: every node is reached at most once,
-// every sender was reached before sending, and (for chain algorithms)
-// receivers are exactly the destinations.
+// Validate panics unless the tree is a well-formed multicast in slot form:
+// Order starts at the source and lists no node twice, Sends is aligned with
+// Order, every send is stored under its sender, the receiver of flattened
+// send k is Order[k+1], and every sender was reached before sending.
 func (t *Tree) Validate() {
-	reached := map[topology.NodeID]bool{t.Source: true}
+	if len(t.Order) == 0 || t.Order[0] != t.Source {
+		panic("core: Order must start at the source")
+	}
+	if len(t.Sends) != len(t.Order) {
+		panic(fmt.Sprintf("core: %d send lists for %d nodes", len(t.Sends), len(t.Order)))
+	}
+	seen := make(map[topology.NodeID]bool, len(t.Order))
 	for _, v := range t.Order {
-		if !reached[v] && len(t.Sends[v]) > 0 {
-			panic(fmt.Sprintf("core: node %d sends before receiving", v))
+		if seen[v] {
+			panic(fmt.Sprintf("core: node %d reached twice", v))
 		}
-		for _, s := range t.Sends[v] {
-			if s.From != v {
+		seen[v] = true
+	}
+	k := 1
+	for i, sends := range t.Sends {
+		if len(sends) > 0 && k <= i {
+			panic(fmt.Sprintf("core: node %d sends before receiving", t.Order[i]))
+		}
+		for _, s := range sends {
+			if s.From != t.Order[i] {
 				panic("core: send stored under wrong sender")
 			}
-			if reached[s.To] {
-				panic(fmt.Sprintf("core: node %d reached twice", s.To))
+			if k >= len(t.Order) || s.To != t.Order[k] {
+				panic(fmt.Sprintf("core: send %d->%d does not reach slot %d", s.From, s.To, k))
 			}
-			reached[s.To] = true
+			k++
 		}
+	}
+	if k != len(t.Order) {
+		panic(fmt.Sprintf("core: %d sends reach %d nodes", k-1, len(t.Order)-1))
 	}
 }

@@ -87,9 +87,12 @@ func TestEmulatedForwardCounts(t *testing.T) {
 	dests := []topology.NodeID{1, 3, 5, 7, 11, 12, 14, 15}
 	res := e.Run(core.WSort, 0, dests, []byte("x"))
 	tr := core.Build(cube, core.WSort, 0, dests)
-	for v, rec := range res.Receipts {
-		if rec.Forwards != len(tr.Sends[v]) {
-			t.Errorf("node %v forwards = %d, tree says %d", v, rec.Forwards, len(tr.Sends[v]))
+	if len(res.Receipts) != tr.NumUnicasts() {
+		t.Errorf("%d receipts, tree reaches %d nodes", len(res.Receipts), tr.NumUnicasts())
+	}
+	for i, v := range tr.Order[1:] {
+		if rec := res.Receipts[v]; rec.Forwards != len(tr.Sends[i+1]) {
+			t.Errorf("node %v forwards = %d, tree says %d", v, rec.Forwards, len(tr.Sends[i+1]))
 		}
 	}
 }

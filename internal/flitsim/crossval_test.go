@@ -132,12 +132,12 @@ func flitTree(cube topology.Cube, tr *core.Tree, flits int, S, R int64) map[topo
 		// ready(v) + k*S, ready(source)=0, ready(v)=delivered(v)+R.
 		idx := 0
 		changed := false
-		for _, v := range orderedSenders(tr) {
+		for i, v := range tr.Order {
 			ready := int64(0)
 			if v != tr.Source {
 				ready = delivered[v] + R
 			}
-			for k := range tr.Sends[v] {
+			for k := range tr.Sends[i] {
 				next[idx] = ready + int64(k+1)*S
 				if next[idx] != starts[idx] {
 					changed = true
@@ -151,17 +151,6 @@ func flitTree(cube topology.Cube, tr *core.Tree, flits int, S, R int64) map[topo
 		}
 	}
 	return delivered
-}
-
-// orderedSenders yields senders in the same order Unicasts flattens them.
-func orderedSenders(tr *core.Tree) []topology.NodeID {
-	var out []topology.NodeID
-	for _, v := range tr.Order {
-		if len(tr.Sends[v]) > 0 {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // A whole W-sort multicast agrees exactly between the two stacks: the
@@ -236,12 +225,12 @@ func TestCrossContentionFreeAtFlitLevel(t *testing.T) {
 
 func convergedStarts(tr *core.Tree, delivered map[topology.NodeID]int64, S, R int64) []int64 {
 	var starts []int64
-	for _, v := range orderedSenders(tr) {
+	for i, v := range tr.Order {
 		ready := int64(0)
 		if v != tr.Source {
 			ready = delivered[v] + R
 		}
-		for k := range tr.Sends[v] {
+		for k := range tr.Sends[i] {
 			starts = append(starts, ready+int64(k+1)*S)
 		}
 	}

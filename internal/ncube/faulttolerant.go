@@ -98,19 +98,20 @@ func RunFaultTolerantInstrumented(jp JitterParams, cube topology.Cube, a core.Al
 	}
 
 	inj := faults.New(plan)
+	env := borrowEnv(jp.Params, cube)
 	r := &ftRun{
 		jp:     jp,
 		cube:   cube,
 		alg:    a,
 		src:    src,
 		bytes:  bytes,
-		q:      &event.Queue{},
+		q:      &env.q,
+		net:    env.net,
 		inj:    inj,
 		rng:    rand.New(rand.NewSource(jp.Seed)),
 		got:    make(map[topology.NodeID]bool),
 		isDest: destSet(src, dests),
 	}
-	r.net = wormhole.New(r.q, cube, jp.NetConfig())
 	r.net.SetFaults(inj)
 	r.q.SetDiagnoser(r.net.Diagnose)
 	ins.instrument(r.q, r.net)
@@ -134,6 +135,10 @@ func RunFaultTolerantInstrumented(jp JitterParams, cube topology.Cube, a core.Al
 	ins.Metrics.Counter("mcast_retries").Add(int64(r.res.Retries))
 	ins.Metrics.Counter("mcast_repairs").Add(int64(r.res.Repairs))
 	r.classifyUnreached(end)
+	if werr == nil {
+		// An aborted run's env is dropped, like a panicked one's.
+		env.release()
+	}
 	return *r.res, werr
 }
 

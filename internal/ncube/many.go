@@ -35,8 +35,10 @@ func RunManyInstrumented(p Params, trees []*core.Tree, bytes int, ins Instrument
 			panic("ncube: RunMany requires a common cube")
 		}
 	}
-	q := &event.Queue{}
-	net := wormhole.New(q, cube, p.NetConfig())
+	// Only the env's calendar and network are used: the trees keep their
+	// own node states (launchTree).
+	env := borrowEnv(p, cube)
+	q, net := &env.q, env.net
 	ins.instrument(q, net)
 	ins.Metrics.Counter("mcast_runs").Add(int64(len(trees)))
 
@@ -54,6 +56,7 @@ func RunManyInstrumented(p Params, trees []*core.Tree, bytes int, ins Instrument
 		results[i].TotalBlocked = net.TotalBlocked()
 	}
 	finishTracer(ins.Tracer, q.Now())
+	env.release()
 	return results
 }
 
@@ -62,9 +65,9 @@ func RunManyInstrumented(p Params, trees []*core.Tree, bytes int, ins Instrument
 // the same processors stay independent (real nodes would run one handler
 // per message tag).
 func launchTree(q *event.Queue, net *wormhole.Network, p Params, tr *core.Tree, bytes int, res *Result) {
-	states := make(map[topology.NodeID]*nodeState, len(tr.Sends))
-	for v, sends := range tr.Sends {
-		states[v] = &nodeState{sends: sends}
+	states := make(map[topology.NodeID]*nodeState, len(tr.Order))
+	for i, v := range tr.Order {
+		states[v] = &nodeState{sends: tr.Sends[i]}
 	}
 	var deliver func(d wormhole.Delivery)
 	var issueNext func(v topology.NodeID)

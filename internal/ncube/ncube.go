@@ -300,21 +300,29 @@ var envPool = sync.Pool{New: func() any { return new(runEnv) }}
 
 // getEnv borrows an env and rebinds it to one run's machine and tree.
 func getEnv(p Params, tr *core.Tree, res *Result, bytes int) *runEnv {
+	env := borrowEnv(p, tr.Cube)
+	env.bytes, env.res = bytes, res
+	env.nodes.init(env, tr.Cube.Nodes())
+	for i, v := range tr.Order {
+		env.nodes.state(env, v).sends = tr.Sends[i]
+	}
+	return env
+}
+
+// borrowEnv borrows an env with a fresh calendar and network for machine p
+// on cube; the network keeps its message free list from earlier runs.
+func borrowEnv(p Params, cube topology.Cube) *runEnv {
 	env := envPool.Get().(*runEnv)
 	cfg := p.NetConfig()
 	env.q.Reset()
 	if env.net == nil {
-		env.net = wormhole.New(&env.q, tr.Cube, cfg)
+		env.net = wormhole.New(&env.q, cube, cfg)
 		env.deliverFn = env.deliver
 		env.diagFn = env.net.Diagnose
 	} else {
-		env.net.Reset(&env.q, tr.Cube, cfg)
+		env.net.Reset(&env.q, cube, cfg)
 	}
-	env.p, env.bytes, env.res = p, bytes, res
-	env.nodes.init(env, tr.Cube.Nodes())
-	for v, sends := range tr.Sends {
-		env.nodes.state(env, v).sends = sends
-	}
+	env.p = p
 	return env
 }
 

@@ -104,10 +104,10 @@ func TestCombineBlocksOnlyOnChannelReuse(t *testing.T) {
 		dests := randomDests(rng, 6, src, 1+rng.Intn(63))
 		tr := core.Build(c, core.Combine, src, dests)
 		reuse := false
-		for node, sends := range tr.Sends {
+		for i, sends := range tr.Sends {
 			seen := map[int]bool{}
 			for _, snd := range sends {
-				d := c.FirstHop(node, snd.To)
+				d := c.FirstHop(tr.Order[i], snd.To)
 				if seen[d] {
 					reuse = true
 				}
@@ -300,12 +300,12 @@ func TestSimulatorMatchesClosedForm(t *testing.T) {
 func closedForm(tr *core.Tree, p Params, bytes int) map[topology.NodeID]event.Time {
 	arrive := map[topology.NodeID]event.Time{}
 	ready := map[topology.NodeID]event.Time{tr.Source: 0}
-	for _, v := range tr.Order {
+	for i, v := range tr.Order {
 		base, ok := ready[v]
 		if !ok {
 			base = arrive[v] + p.TRecv
 		}
-		for k, snd := range tr.Sends[v] {
+		for k, snd := range tr.Sends[i] {
 			inject := base + event.Time(k+1)*p.TStartup
 			hops := event.Time(topology.Distance(snd.From, snd.To))
 			arrive[snd.To] = inject + hops*p.THop + event.Time(bytes)*p.TByte
@@ -333,13 +333,13 @@ func TestOnePortSimulatorMatchesClosedForm(t *testing.T) {
 		got := Run(p, tr, bytes)
 		arrive := map[topology.NodeID]event.Time{}
 		ready := map[topology.NodeID]event.Time{tr.Source: 0}
-		for _, v := range tr.Order {
+		for i, v := range tr.Order {
 			base, ok := ready[v]
 			if !ok {
 				base = arrive[v] + p.TRecv
 			}
 			prev := base
-			for _, snd := range tr.Sends[v] {
+			for _, snd := range tr.Sends[i] {
 				inject := prev + p.TStartup
 				hops := event.Time(topology.Distance(snd.From, snd.To))
 				arrive[snd.To] = inject + hops*p.THop + event.Time(bytes)*p.TByte

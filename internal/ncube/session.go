@@ -175,10 +175,7 @@ func (st *opNode) RunEvent() {
 // non-nil it fires at the op's completion instant — the arrival of its
 // last unicast — on the shared calendar.
 func (s *Session) InjectTree(at event.Time, tr *core.Tree, bytes int, done func(*Result)) *Result {
-	expected := 0
-	for _, sends := range tr.Sends {
-		expected += len(sends)
-	}
+	expected := tr.NumUnicasts()
 	op := &treeOp{
 		s:        s,
 		src:      tr.Source,
@@ -192,9 +189,9 @@ func (s *Session) InjectTree(at event.Time, tr *core.Tree, bytes int, done func(
 		},
 	}
 	op.deliverFn = op.deliver
-	op.nodes.init(op, tr.Cube.Nodes(), len(tr.Sends))
-	for v, sends := range tr.Sends {
-		op.nodes.state(op, v).sends = sends
+	op.nodes.init(op, tr.Cube.Nodes(), len(tr.Order))
+	for i, v := range tr.Order {
+		op.nodes.state(op, v).sends = tr.Sends[i]
 	}
 	s.q.AtOp(at, op)
 	return &op.res

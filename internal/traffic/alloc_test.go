@@ -30,7 +30,7 @@ func TestRunAllocCeiling(t *testing.T) {
 					Op: Template{Kind: KindMulticast, DestCount: 32, Bytes: 4096},
 				},
 			}
-		}, 1419},
+		}, 1275},
 		{"chaos-faulted-5cube", func() *Spec {
 			return &Spec{
 				Dim:  5,

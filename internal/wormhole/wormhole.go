@@ -14,7 +14,6 @@ package wormhole
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"hypercube/internal/event"
 	"hypercube/internal/metrics"
@@ -163,11 +162,6 @@ func (m *message) RunEvent() {
 	}
 }
 
-// msgPool recycles completed messages (and their path scratch) across sends
-// and across pooled simulation runs. Wedged messages are never recycled —
-// they hold channels forever by design.
-var msgPool = sync.Pool{New: func() any { return new(message) }}
-
 type channel struct {
 	busy    bool
 	owner   *message   // holder while busy (diagnostics)
@@ -263,6 +257,13 @@ type Network struct {
 	inflight     int
 	maxInflight  int
 	wedged       []*message
+
+	// free recycles finished messages (and their path scratch) across
+	// sends and, because pooled simulation envs keep their network,
+	// across runs. A network is driven by one goroutine, so the list
+	// needs no locking. Wedged messages are never recycled — they hold
+	// channels forever by design.
+	free []*message
 
 	// Observability instruments; all nil (one branch per update site)
 	// until SetMetrics installs a registry.
@@ -547,7 +548,13 @@ func (n *Network) SendTracked(from, to topology.NodeID, bytes int, done func(Del
 		}
 		return
 	}
-	m := msgPool.Get().(*message)
+	var m *message
+	if k := len(n.free); k > 0 {
+		m = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		m = new(message)
+	}
 	m.from, m.to, m.bytes = from, to, bytes
 	m.path = n.cube.AppendPathArcs(m.path[:0], from, to)
 	m.idx = 0
@@ -630,14 +637,13 @@ func (n *Network) LaneStats() []LaneStat {
 	return out
 }
 
-// recycle returns a finished message to the pool. Every structure that
-// could alias it — channel owners, waiter queues, the calendar — has
+// recycle returns a finished message to the free list. Every structure
+// that could alias it — channel owners, waiter queues, the calendar — has
 // already dropped its reference; the path scratch rides along for reuse.
 func (n *Network) recycle(m *message) {
 	m.done = nil
 	m.lost = nil
-	m.net = nil
-	msgPool.Put(m)
+	n.free = append(n.free, m)
 }
 
 // tryAcquire attempts to claim the message's next channel at the current

@@ -25,6 +25,12 @@ go test ./...
 echo '== go test -race'
 go test -race ./...
 
+echo '== perfbench (own module: vet + tests)'
+# perfbench builds against this module's internal APIs through a replace
+# directive but is a separate module, so ./... never compiles it.
+GOWORK=off go -C perfbench vet ./...
+GOWORK=off go -C perfbench test .
+
 echo '== fuzz seed corpora'
 go test -run Fuzz . ./internal/chain/ ./internal/core/ ./internal/event/
 
