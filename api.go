@@ -190,7 +190,7 @@ func StepLowerBound(pm PortModel, n, m int) int { return core.StepLowerBound(pm,
 // SimulateMany executes several multicast trees concurrently on one shared
 // interconnect, measuring cross-multicast interference.
 func SimulateMany(p MachineParams, trees []*Tree, bytes int) []MachineResult {
-	return ncube.RunMany(p, trees, bytes)
+	return ncube.RunManyInstrumented(p, trees, bytes, ncube.Instrumentation{})
 }
 
 // SimulateBatch executes independent multicast trees — each on its own
@@ -198,7 +198,7 @@ func SimulateMany(p MachineParams, trees []*Tree, bytes int) []MachineResult {
 // workers, returning results in tree order. Every result is byte-identical
 // to Simulate on the same tree at any worker count.
 func SimulateBatch(p MachineParams, trees []*Tree, bytes int) []MachineResult {
-	return ncube.RunParallel(p, trees, bytes)
+	return ncube.RunParallelInstrumented(p, trees, bytes, ncube.Instrumentation{})
 }
 
 // Comm is an MPI-style communicator: an ordered process group over the
@@ -245,7 +245,7 @@ func RandomLinkFaults(c Cube, seed int64, k int) []LinkFault {
 // configuration comes back as an error; a tripped watchdog budget returns
 // a *WatchdogDiagnostic alongside the partial result.
 func SimulateFaultTolerant(p MachineParams, c Cube, a Algorithm, src NodeID, dests []NodeID, bytes int, plan FaultPlan) (MachineResult, error) {
-	return ncube.RunFaultTolerant(ncube.JitterParams{Params: p}, c, a, src, dests, bytes, plan)
+	return ncube.RunFaultTolerantInstrumented(ncube.JitterParams{Params: p}, c, a, src, dests, bytes, plan, ncube.Instrumentation{})
 }
 
 // TraceRecorder accumulates channel occupancy intervals and blocking
@@ -255,7 +255,7 @@ type TraceRecorder = trace.Recorder
 // SimulateTraced is Simulate with a channel-event recorder attached; use
 // rec.Gantt(cube, width) to visualize the execution.
 func SimulateTraced(p MachineParams, t *Tree, bytes int, rec *TraceRecorder) MachineResult {
-	return ncube.RunWithTracer(p, t, bytes, rec)
+	return ncube.RunInstrumented(p, t, bytes, ncube.Instrumentation{Tracer: rec})
 }
 
 // Broadcast builds a multicast tree addressing every other node of the
@@ -389,10 +389,3 @@ func CanonicalTrafficJSON(s *TrafficSpec) ([]byte, error) {
 // canonicalizing the spec in place first. Identical specs produce
 // identical results.
 func SimulateTraffic(s *TrafficSpec) (*TrafficResult, error) { return traffic.Run(s) }
-
-// SimulateTrafficWorkers is SimulateTraffic driven through the parallel
-// event executor at the given worker count; the result is byte-identical
-// at every setting.
-func SimulateTrafficWorkers(s *TrafficSpec, workers int) (*TrafficResult, error) {
-	return traffic.RunWorkers(s, workers)
-}

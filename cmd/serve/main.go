@@ -52,7 +52,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen `address` (host:port; port 0 picks one)")
 		portFile = flag.String("port-file", "", "write the actual listen address to `file` (for ephemeral ports)")
 		workers  = flag.Int("workers", 0, "simulation worker count (0 = GOMAXPROCS)")
-		simWork  = flag.Int("sim-workers", 0, "per-job event-kernel workers (0/1 = single-threaded calendar)")
+		simWork  = flag.Int("sim-workers", 0, "goroutines per /v1/sweep delay point for trial fan-out only (0/1 = single-threaded)")
 		queue    = flag.Int("queue", 64, "admission queue depth (-1 = no queue, admit only onto an idle worker)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "wall-clock cap per request (queue wait + execution)")
 		wdSteps  = flag.Int("watchdog-steps", 0, "per-request event-loop step budget (0 = event.DefaultMaxSteps)")

@@ -57,7 +57,8 @@ func FuzzParallelEquivalence(f *testing.F) {
 		p := ncube.NCube2(port)
 
 		want := ncube.Run(p, tr, bytes)
-		// Single-run gate (1-LP parallel executor).
+		// A single run with the worker count set: it runs on one
+		// goroutine whatever the setting.
 		pw := p
 		pw.Workers = workers
 		got := ncube.Run(pw, tr, bytes)
@@ -68,7 +69,7 @@ func FuzzParallelEquivalence(f *testing.F) {
 		}
 		// Batch path: a 3-run batch of the same tree must yield three
 		// copies of the sequential result.
-		for i, r := range ncube.RunParallel(pw, []*core.Tree{tr, tr, tr}, bytes) {
+		for i, r := range ncube.RunParallelInstrumented(pw, []*core.Tree{tr, tr, tr}, bytes, ncube.Instrumentation{}) {
 			rb, _ := json.Marshal(r)
 			if string(rb) != string(wb) {
 				t.Fatalf("dim=%d alg=%v workers=%d: batch run %d diverges", dim, alg, workers, i)

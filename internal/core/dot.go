@@ -2,40 +2,23 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-
-	"hypercube/internal/topology"
 )
 
 // DOT renders the scheduled multicast as a Graphviz digraph: tree edges
-// labeled with their step, nodes labeled with binary addresses, the source
-// double-circled, and relay processors (store-and-forward trees) drawn
-// dashed. Paste the output into any dot renderer to obtain figures in the
-// style of the paper's diagrams.
+// labeled with their step, nodes labeled with binary addresses, and the
+// source double-circled. Paste the output into any dot renderer to obtain
+// figures in the style of the paper's diagrams.
 func (s *Schedule) DOT() string {
 	t := s.Tree
-	step := map[[2]topology.NodeID]int{}
-	for _, u := range s.Unicasts {
-		step[[2]topology.NodeID{u.From, u.To}] = u.Step
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", fmt.Sprintf("%s_from_%s", t.Algorithm, t.Cube.Binary(t.Source)))
 	fmt.Fprintf(&b, "  label=%q;\n", fmt.Sprintf("%s multicast, %s, %d steps", t.Algorithm, s.Port, s.Steps()))
 	fmt.Fprintf(&b, "  node [shape=circle fontname=monospace];\n")
 	fmt.Fprintf(&b, "  %q [shape=doublecircle];\n", t.Cube.Binary(t.Source))
-	// Deterministic edge order: by step, then addresses.
-	us := append([]Unicast(nil), s.Unicasts...)
-	sort.Slice(us, func(i, j int) bool {
-		if us[i].Step != us[j].Step {
-			return us[i].Step < us[j].Step
-		}
-		if us[i].From != us[j].From {
-			return us[i].From < us[j].From
-		}
-		return us[i].To < us[j].To
-	})
-	for _, u := range us {
+	// Edges in the schedule's own (Step, From, To) order, which
+	// NewSchedule guarantees; TestDOTEdgeOrder pins it.
+	for _, u := range s.Unicasts {
 		fmt.Fprintf(&b, "  %q -> %q [label=\"%d\"];\n",
 			t.Cube.Binary(u.From), t.Cube.Binary(u.To), u.Step)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -36,5 +37,35 @@ func TestDOTDeterministic(t *testing.T) {
 	b := NewSchedule(Build(c, Combine, 4, dests), AllPort).DOT()
 	if a != b {
 		t.Error("DOT output nondeterministic")
+	}
+}
+
+// TestDOTEdgeOrder pins the order DOT emits edges in: NewSchedule leaves
+// Unicasts strictly sorted by (Step, From, To) for every algorithm under
+// both port models, so rendering them in place is the same as sorting a
+// copy, and `cmd/mcast -dot` output does not depend on the construction
+// order.
+func TestDOTEdgeOrder(t *testing.T) {
+	c := topology.New(6, topology.HighToLow)
+	rng := rand.New(rand.NewSource(31))
+	for _, a := range Algorithms() {
+		for _, pm := range []PortModel{OnePort, AllPort} {
+			for trial := 0; trial < 20; trial++ {
+				src := topology.NodeID(rng.Intn(c.Nodes()))
+				var dests []topology.NodeID
+				for _, v := range rng.Perm(c.Nodes())[:1+rng.Intn(c.Nodes()-1)] {
+					if topology.NodeID(v) != src {
+						dests = append(dests, topology.NodeID(v))
+					}
+				}
+				us := NewSchedule(Build(c, a, src, dests), pm).Unicasts
+				for i := 1; i < len(us); i++ {
+					p, q := us[i-1], us[i]
+					if p.Step > q.Step || p.Step == q.Step && (p.From > q.From || p.From == q.From && p.To >= q.To) {
+						t.Fatalf("%v/%v trial %d: unicast %d %+v not after %+v", a, pm, trial, i, q, p)
+					}
+				}
+			}
+		}
 	}
 }

@@ -321,30 +321,6 @@ func (q *Queue) exec(k key, from int) {
 	}
 }
 
-// peekTime returns the earliest pending event time, if any.
-func (q *Queue) peekTime() (Time, bool) {
-	if q.pending == 0 {
-		return 0, false
-	}
-	k, _ := q.next()
-	return k.at, true
-}
-
-// stepIfBefore runs the earliest event only if it lies strictly before
-// horizon, reporting whether one ran. This is the window primitive of the
-// parallel executor: each logical process drains exactly its safe window.
-func (q *Queue) stepIfBefore(horizon Time) bool {
-	if q.pending == 0 {
-		return false
-	}
-	k, from := q.next()
-	if k.at >= horizon {
-		return false
-	}
-	q.exec(k, from)
-	return true
-}
-
 // Reset returns the queue to its zero state while keeping the capacity of
 // the lanes, the heap, the slot slab and the free list, so pooled runs
 // reuse them. The slab is cleared (a watchdog-aborted run leaves events

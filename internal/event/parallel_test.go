@@ -1,7 +1,6 @@
 package event
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 )
@@ -37,7 +36,7 @@ func TestParallelIndependentMatchesSequential(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		got := make([][]Time, nLP)
-		pq := NewParallel(workers, 0)
+		pq := NewParallel(workers)
 		queues := make([]*Queue, nLP)
 		for id := 0; id < nLP; id++ {
 			queues[id] = &Queue{}
@@ -53,152 +52,12 @@ func TestParallelIndependentMatchesSequential(t *testing.T) {
 	}
 }
 
-// phold is a synthetic windowed workload: nLP logical processes pass
-// timestamped tokens around a ring with a fixed minimum delay (the
-// lookahead). Each LP logs (time, token, hop) tuples; the logs are the
-// observable the equivalence assertion pins.
-type pholdLP struct {
-	pq   *ParallelQueue
-	all  []*pholdLP
-	id   int
-	q    *Queue
-	log  []string
-	hops int
-}
-
-func (p *pholdLP) receive(token, hop int) {
-	p.log = append(p.log, fmt.Sprintf("t=%d tok=%d hop=%d", p.q.Now(), token, hop))
-	if hop >= p.hops {
-		return
-	}
-	// Deterministic next delay >= lookahead; varies per token and hop.
-	d := Time(10 + (token*31+hop*17)%23)
-	next := (p.id + 1 + token%3) % len(p.all)
-	if next == p.id {
-		// Self-delivery stays local: an ordinary schedule.
-		p.q.After(d, func() { p.receive(token, hop+1) })
-		return
-	}
-	dst := p.all[next]
-	p.pq.Cross(p.id, next, d, nil, func() { dst.receive(token, hop+1) })
-}
-
-// runPHOLD executes the ring workload at the given worker count and
-// returns every LP's log.
-func runPHOLD(t *testing.T, workers, nLP, tokens, hops int) [][]string {
-	t.Helper()
-	const lookahead = Time(10)
-	pq := NewParallel(workers, lookahead)
-	lps := make([]*pholdLP, nLP)
-	for id := 0; id < nLP; id++ {
-		q := &Queue{}
-		lps[id] = &pholdLP{pq: pq, all: lps, id: id, q: q, hops: hops}
-		pq.Add(q)
-	}
-	for tok := 0; tok < tokens; tok++ {
-		lp := lps[tok%nLP]
-		token := tok
-		lp.q.At(Time(token), func() { lp.receive(token, 0) })
-	}
-	if _, err := pq.Run(0, 0); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	logs := make([][]string, nLP)
-	for id, lp := range lps {
-		logs[id] = lp.log
-	}
-	return logs
-}
-
-// TestParallelWindowedDeterministicAcrossWorkers runs the windowed ring
-// workload at workers {1,2,4,8} and requires identical logs: the barrier
-// merge order, not goroutine scheduling, decides every heap insertion.
-func TestParallelWindowedDeterministicAcrossWorkers(t *testing.T) {
-	want := runPHOLD(t, 1, 5, 12, 8)
-	for _, workers := range []int{2, 4, 8} {
-		got := runPHOLD(t, workers, 5, 12, 8)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: windowed trace diverges from workers=1", workers)
-		}
-	}
-}
-
-// TestParallelWindowedProgress pins the liveness argument: a window always
-// executes at least the global-minimum event, so a long chain terminates.
-func TestParallelWindowedProgress(t *testing.T) {
-	pq := NewParallel(2, 5)
-	qa, qb := &Queue{}, &Queue{}
-	a := pq.Add(qa)
-	b := pq.Add(qb)
-	count := 0
-	var ping, pong func()
-	ping = func() {
-		count++
-		if count < 100 {
-			pq.Cross(a, b, 5, nil, pong)
-		}
-	}
-	pong = func() {
-		count++
-		if count < 100 {
-			pq.Cross(b, a, 5, nil, ping)
-		}
-	}
-	qa.At(0, ping)
-	end, err := pq.Run(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 100 {
-		t.Fatalf("executed %d events, want 100", count)
-	}
-	if end != Time(99*5) {
-		t.Fatalf("final time %v, want %v", end, Time(99*5))
-	}
-}
-
-// TestParallelCrossContract verifies the conservative contract is
-// enforced: sub-lookahead cross delays and Cross on an independent
-// executor both panic.
-func TestParallelCrossContract(t *testing.T) {
-	expectPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: no panic", name)
-			}
-		}()
-		fn()
-	}
-	pq := NewParallel(1, 10)
-	qa, qb := &Queue{}, &Queue{}
-	a := pq.Add(qa)
-	b := pq.Add(qb)
-	qa.At(0, func() {
-		expectPanic("short delay", func() { pq.Cross(a, b, 9, nil, func() {}) })
-	})
-	if _, err := pq.Run(0, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	ind := NewParallel(1, 0)
-	qi := &Queue{}
-	i := ind.Add(qi)
-	qi.At(0, func() {
-		expectPanic("independent cross", func() { ind.Cross(i, i, 100, nil, func() {}) })
-	})
-	if _, err := ind.Run(0, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestParallelBudgets mirrors RunBudget's watchdog semantics: step and
-// time budgets return Diagnostics naming the exhausted budget, and the
-// independent path reports the first failing LP in LP order regardless of
-// completion order.
+// time budgets return Diagnostics naming the exhausted budget, and Run
+// reports the first failing LP in LP order regardless of completion order.
 func TestParallelBudgets(t *testing.T) {
-	// Step budget, independent mode: LP 1 spins forever.
-	pq := NewParallel(4, 0)
+	// Step budget: LP 1 spins forever.
+	pq := NewParallel(4)
 	q0, q1 := &Queue{}, &Queue{}
 	pq.Add(q0)
 	pq.Add(q1)
@@ -216,8 +75,8 @@ func TestParallelBudgets(t *testing.T) {
 		t.Fatalf("error %q does not name %q", err.Error(), want)
 	}
 
-	// Time budget, windowed mode.
-	wq := NewParallel(2, 5)
+	// Time budget.
+	wq := NewParallel(2)
 	wa := &Queue{}
 	wq.Add(wa)
 	var tick func()

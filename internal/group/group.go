@@ -158,5 +158,5 @@ func Phase(p ncube.Params, bytes int, a core.Algorithm, groups []*Comm, roots []
 		}
 		trees[i] = g.Bcast(a, roots[i])
 	}
-	return ncube.RunMany(p, trees, bytes)
+	return ncube.RunManyInstrumented(p, trees, bytes, ncube.Instrumentation{})
 }

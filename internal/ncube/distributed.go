@@ -51,8 +51,8 @@ func (jp JitterParams) Validate() {
 // software overheads. This is the execution a real machine performs.
 func RunDistributed(jp JitterParams, cube topology.Cube, a core.Algorithm, src topology.NodeID, dests []topology.NodeID, bytes int) Result {
 	jp.Validate()
-	env := borrowEnv(jp.Params, cube)
-	q, net := &env.q, env.net
+	s := NewSession(jp.Params, cube, Instrumentation{})
+	q, net := &s.q, s.net
 	rng := rand.New(rand.NewSource(jp.Seed))
 	jitter := func(d event.Time) event.Time {
 		if jp.Amount == 0 {
@@ -109,6 +109,6 @@ func RunDistributed(jp JitterParams, cube topology.Cube, a core.Algorithm, src t
 	launch(src, core.StartPayload(cube, a, src, dests))
 	q.MustRun(0, 0)
 	res.TotalBlocked = net.TotalBlocked()
-	env.release()
+	s.Release()
 	return res
 }

@@ -63,21 +63,17 @@ type neverDown struct{}
 
 func (neverDown) NodeDown(topology.NodeID, event.Time) bool { return false }
 
-// RunFaultTolerant executes the distributed multicast protocol under the
-// given fault plan. Unlike the fault-free entry points it returns errors
-// instead of panicking on malformed configuration, and a watchdog
+// RunFaultTolerantInstrumented executes the distributed multicast protocol
+// under the given fault plan. Unlike the fault-free entry points it returns
+// errors instead of panicking on malformed configuration, and a watchdog
 // *event.Diagnostic (with the network's held-channel snapshot) when the
 // event-loop budget trips. The Result is meaningful even when an error is
 // returned: it reports everything delivered up to the abort.
-func RunFaultTolerant(jp JitterParams, cube topology.Cube, a core.Algorithm, src topology.NodeID, dests []topology.NodeID, bytes int, plan faults.Plan) (Result, error) {
-	return RunFaultTolerantInstrumented(jp, cube, a, src, dests, bytes, plan, Instrumentation{})
-}
-
-// RunFaultTolerantInstrumented is RunFaultTolerant with observability
-// attached: tracer callbacks on every channel event (flushed at teardown
-// even when the watchdog aborts the run), and metrics covering the event
-// kernel, the interconnect, and the protocol's recovery work
-// ("mcast_retries", "mcast_repairs").
+//
+// Observability rides along: tracer callbacks on every channel event
+// (flushed at teardown even when the watchdog aborts the run), and metrics
+// covering the event kernel, the interconnect, and the protocol's recovery
+// work ("mcast_retries", "mcast_repairs").
 func RunFaultTolerantInstrumented(jp JitterParams, cube topology.Cube, a core.Algorithm, src topology.NodeID, dests []topology.NodeID, bytes int, plan faults.Plan, ins Instrumentation) (Result, error) {
 	if err := jp.Err(); err != nil {
 		return Result{}, err
@@ -98,23 +94,22 @@ func RunFaultTolerantInstrumented(jp JitterParams, cube topology.Cube, a core.Al
 	}
 
 	inj := faults.New(plan)
-	env := borrowEnv(jp.Params, cube)
+	s := NewSession(jp.Params, cube, ins)
 	r := &ftRun{
 		jp:     jp,
 		cube:   cube,
 		alg:    a,
 		src:    src,
 		bytes:  bytes,
-		q:      &env.q,
-		net:    env.net,
+		q:      &s.q,
+		net:    s.net,
 		inj:    inj,
 		rng:    rand.New(rand.NewSource(jp.Seed)),
 		got:    make(map[topology.NodeID]bool),
 		isDest: destSet(src, dests),
 	}
-	r.net.SetFaults(inj)
-	r.q.SetDiagnoser(r.net.Diagnose)
-	ins.instrument(r.q, r.net)
+	s.SetFaults(inj)
+	s.armDiagnoser()
 	ins.Metrics.Counter("mcast_runs").Inc()
 	r.initReliability()
 	r.res = &Result{
@@ -126,7 +121,7 @@ func RunFaultTolerantInstrumented(jp JitterParams, cube topology.Cube, a core.Al
 
 	r.got[src] = true // the initiator holds the message
 	r.forward(src, core.StartPayload(cube, a, src, dests), false)
-	end, werr := runQueue(r.q, jp.Workers, jp.WatchdogSteps, jp.WatchdogTime)
+	end, werr := r.q.RunBudget(jp.WatchdogSteps, jp.WatchdogTime)
 	r.res.TotalBlocked = r.net.TotalBlocked()
 	// Flush open trace intervals even (especially) on a watchdog abort:
 	// a stall-mode fault run ends with channels still held, and those
@@ -136,8 +131,8 @@ func RunFaultTolerantInstrumented(jp JitterParams, cube topology.Cube, a core.Al
 	ins.Metrics.Counter("mcast_repairs").Add(int64(r.res.Repairs))
 	r.classifyUnreached(end)
 	if werr == nil {
-		// An aborted run's env is dropped, like a panicked one's.
-		env.release()
+		// An aborted run's session is dropped, like a panicked one's.
+		s.Release()
 	}
 	return *r.res, werr
 }
@@ -193,11 +188,11 @@ func destSet(src topology.NodeID, dests []topology.NodeID) map[topology.NodeID]b
 }
 
 // ftRun bundles the state of one fault-tolerant execution. Standalone runs
-// (RunFaultTolerant) own their calendar and network and detect completion
-// by driving the calendar dry; session runs (Session.InjectFaultTolerant)
-// share both with concurrent operations, so they instead count their own
-// outstanding work — every scheduled callback and every in-flight message
-// — and finish when the count drains to zero.
+// (RunFaultTolerantInstrumented) own their session's calendar and network
+// and detect completion by driving the calendar dry; session runs
+// (Session.InjectFaultTolerant) share both with concurrent operations, so
+// they instead count their own outstanding work — every scheduled callback
+// and every in-flight message — and finish when the count drains to zero.
 type ftRun struct {
 	jp    JitterParams
 	cube  topology.Cube
@@ -494,9 +489,9 @@ func (r *ftRun) relayMission(s core.Send, cands []topology.NodeID, i int) {
 }
 
 // InjectFaultTolerant schedules one fault-tolerant distributed multicast
-// (the ack/retry + tree-repair protocol of RunFaultTolerant) to start at
-// absolute simulated time at on the session's shared calendar and network,
-// concurrently with whatever else the session runs. Node fail-stop queries
+// (the ack/retry + tree-repair protocol of RunFaultTolerantInstrumented) to
+// start at absolute simulated time at on the session's shared calendar and
+// network, concurrently with whatever else the session runs. Node fail-stop queries
 // go to oracle (typically the same faults.Schedule installed on the
 // network via SetFaults; nil means no node ever fails). The returned
 // Result is filled in as the scenario runs, with Recv times and Makespan

@@ -66,9 +66,9 @@ func TestFaultTolerantFaultFreeMatchesDistributed(t *testing.T) {
 		t.Run(a.String(), func(t *testing.T) {
 			jp := ftParams()
 			plain := RunDistributed(jp, cube, a, 0, dests, 256)
-			ft, err := RunFaultTolerant(jp, cube, a, 0, dests, 256, faults.Plan{})
+			ft, err := RunFaultTolerantInstrumented(jp, cube, a, 0, dests, 256, faults.Plan{}, Instrumentation{})
 			if err != nil {
-				t.Fatalf("RunFaultTolerant: %v", err)
+				t.Fatalf("RunFaultTolerantInstrumented: %v", err)
 			}
 			if !reflect.DeepEqual(ft.Recv, plain.Recv) {
 				t.Fatalf("receipt times diverge from the plain protocol:\nft   =%v\nplain=%v", ft.Recv, plain.Recv)
@@ -106,7 +106,7 @@ func TestOffTreeLinkFaultHarmless(t *testing.T) {
 				t.Fatal("tree uses every channel; no off-tree arc to fail")
 			}
 			jp := ftParams()
-			baseline, err := RunFaultTolerant(jp, cube, a, 0, dests, 256, faults.Plan{})
+			baseline, err := RunFaultTolerantInstrumented(jp, cube, a, 0, dests, 256, faults.Plan{}, Instrumentation{})
 			if err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
@@ -119,7 +119,7 @@ func TestOffTreeLinkFaultHarmless(t *testing.T) {
 					continue
 				}
 				plan := faults.Plan{Links: []faults.LinkFault{{Arc: arc}}}
-				res, err := RunFaultTolerant(jp, cube, a, 0, dests, 256, plan)
+				res, err := RunFaultTolerantInstrumented(jp, cube, a, 0, dests, 256, plan, Instrumentation{})
 				if err != nil {
 					t.Fatalf("arc %v: %v", arc, err)
 				}
@@ -144,10 +144,10 @@ func TestOnTreeLinkFaultRepaired(t *testing.T) {
 			first := core.Build(cube, a, 0, dests).Sends[0][0]
 			arc := cube.PathArcs(first.From, first.To)[0]
 			jp := ftParams()
-			res, err := RunFaultTolerant(jp, cube, a, 0, dests, 64,
-				faults.Plan{Links: []faults.LinkFault{{Arc: arc}}})
+			res, err := RunFaultTolerantInstrumented(jp, cube, a, 0, dests, 64,
+				faults.Plan{Links: []faults.LinkFault{{Arc: arc}}}, Instrumentation{})
 			if err != nil {
-				t.Fatalf("RunFaultTolerant: %v", err)
+				t.Fatalf("RunFaultTolerantInstrumented: %v", err)
 			}
 			requireAllReached(t, res, dests)
 			if res.Retries == 0 || res.Repairs == 0 {
@@ -169,10 +169,10 @@ func TestTransientFaultRecoversByRetry(t *testing.T) {
 	jp.AckTimeout = 2 * event.Millisecond
 	first := core.Build(cube, core.UCube, 0, dests).Sends[0][0]
 	arc := cube.PathArcs(first.From, first.To)[0]
-	res, err := RunFaultTolerant(jp, cube, core.UCube, 0, dests, 64,
-		faults.Plan{Links: []faults.LinkFault{{Arc: arc, From: 0, Until: 3 * event.Millisecond}}})
+	res, err := RunFaultTolerantInstrumented(jp, cube, core.UCube, 0, dests, 64,
+		faults.Plan{Links: []faults.LinkFault{{Arc: arc, From: 0, Until: 3 * event.Millisecond}}}, Instrumentation{})
 	if err != nil {
-		t.Fatalf("RunFaultTolerant: %v", err)
+		t.Fatalf("RunFaultTolerantInstrumented: %v", err)
 	}
 	requireAllReached(t, res, dests)
 	if res.Status[first.To] != StatusRetried {
@@ -192,10 +192,10 @@ func TestNodeCrashSubtreeRerouted(t *testing.T) {
 	for _, a := range ftAlgorithms {
 		t.Run(a.String(), func(t *testing.T) {
 			first := core.Build(cube, a, 0, dests).Sends[0][0]
-			res, err := RunFaultTolerant(ftParams(), cube, a, 0, dests, 64,
-				faults.Plan{Nodes: []faults.NodeFault{{Node: first.To, At: 0}}})
+			res, err := RunFaultTolerantInstrumented(ftParams(), cube, a, 0, dests, 64,
+				faults.Plan{Nodes: []faults.NodeFault{{Node: first.To, At: 0}}}, Instrumentation{})
 			if err != nil {
-				t.Fatalf("RunFaultTolerant: %v", err)
+				t.Fatalf("RunFaultTolerantInstrumented: %v", err)
 			}
 			if res.Status[first.To] != StatusDeadNode {
 				t.Fatalf("crashed node %v status %v", first.To, res.Status[first.To])
@@ -221,10 +221,10 @@ func TestSFBinomialCrashRepair(t *testing.T) {
 	cube := topology.New(3, topology.HighToLow)
 	dests := allNodes(cube, 0)
 	first := core.Build(cube, core.SFBinomial, 0, dests).Sends[0][0]
-	res, err := RunFaultTolerant(ftParams(), cube, core.SFBinomial, 0, dests, 64,
-		faults.Plan{Nodes: []faults.NodeFault{{Node: first.To, At: 0}}})
+	res, err := RunFaultTolerantInstrumented(ftParams(), cube, core.SFBinomial, 0, dests, 64,
+		faults.Plan{Nodes: []faults.NodeFault{{Node: first.To, At: 0}}}, Instrumentation{})
 	if err != nil {
-		t.Fatalf("RunFaultTolerant: %v", err)
+		t.Fatalf("RunFaultTolerantInstrumented: %v", err)
 	}
 	if res.Status[first.To] != StatusDeadNode {
 		t.Fatalf("crashed node %v status %v", first.To, res.Status[first.To])
@@ -245,8 +245,8 @@ func TestWatchdogDiagnosesWedgedNetwork(t *testing.T) {
 	jp.WatchdogTime = 1 * event.Millisecond
 	// The unicast 0 -> 6 routes over {0,d2} then {4,d1}; stalling the
 	// second hop wedges the worm while it holds the first channel.
-	_, err := RunFaultTolerant(jp, cube, core.UCube, 0, []topology.NodeID{6}, 64,
-		faults.Plan{Mode: faults.Stall, Links: []faults.LinkFault{{Arc: topology.Arc{From: 4, Dim: 1}}}})
+	_, err := RunFaultTolerantInstrumented(jp, cube, core.UCube, 0, []topology.NodeID{6}, 64,
+		faults.Plan{Mode: faults.Stall, Links: []faults.LinkFault{{Arc: topology.Arc{From: 4, Dim: 1}}}}, Instrumentation{})
 	var diag *event.Diagnostic
 	if !errors.As(err, &diag) {
 		t.Fatalf("err = %v, want *event.Diagnostic", err)
@@ -268,8 +268,8 @@ func TestFaultTolerantDeterministic(t *testing.T) {
 	jp.Amount = 0.2
 	jp.Seed = 99
 	plan := faults.Plan{Seed: 7, DropRate: 0.1}
-	a, err1 := RunFaultTolerant(jp, cube, core.Maxport, 0, dests, 128, plan)
-	b, err2 := RunFaultTolerant(jp, cube, core.Maxport, 0, dests, 128, plan)
+	a, err1 := RunFaultTolerantInstrumented(jp, cube, core.Maxport, 0, dests, 128, plan, Instrumentation{})
+	b, err2 := RunFaultTolerantInstrumented(jp, cube, core.Maxport, 0, dests, 128, plan, Instrumentation{})
 	if (err1 == nil) != (err2 == nil) {
 		t.Fatalf("errors diverge: %v vs %v", err1, err2)
 	}
@@ -303,7 +303,7 @@ func TestFaultTolerantInputErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := RunFaultTolerant(tc.jp, cube, core.UCube, tc.src, tc.dests, tc.bytes, tc.plan); err == nil {
+			if _, err := RunFaultTolerantInstrumented(tc.jp, cube, core.UCube, tc.src, tc.dests, tc.bytes, tc.plan, Instrumentation{}); err == nil {
 				t.Fatal("invalid input accepted")
 			}
 		})
@@ -316,9 +316,9 @@ func TestFaultTolerantOnePort(t *testing.T) {
 	cube := topology.New(3, topology.HighToLow)
 	dests := allNodes(cube, 0)
 	jp := JitterParams{Params: NCube2(core.OnePort)}
-	res, err := RunFaultTolerant(jp, cube, core.UCube, 0, dests, 64, faults.Plan{})
+	res, err := RunFaultTolerantInstrumented(jp, cube, core.UCube, 0, dests, 64, faults.Plan{}, Instrumentation{})
 	if err != nil {
-		t.Fatalf("RunFaultTolerant: %v", err)
+		t.Fatalf("RunFaultTolerantInstrumented: %v", err)
 	}
 	requireAllReached(t, res, dests)
 	if res.Retries != 0 || res.Repairs != 0 {

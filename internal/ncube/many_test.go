@@ -9,7 +9,7 @@ import (
 	"hypercube/internal/topology"
 )
 
-// One tree through RunMany equals Run exactly.
+// One tree through RunManyInstrumented equals Run exactly.
 func TestRunManySingleMatchesRun(t *testing.T) {
 	c := topology.New(5, topology.HighToLow)
 	rng := rand.New(rand.NewSource(191))
@@ -18,9 +18,9 @@ func TestRunManySingleMatchesRun(t *testing.T) {
 		dests := randomDests(rng, 5, src, 1+rng.Intn(31))
 		tr := core.Build(c, core.WSort, src, dests)
 		want := Run(NCube2(core.AllPort), tr, 2048)
-		got := RunMany(NCube2(core.AllPort), []*core.Tree{tr}, 2048)[0]
+		got := RunManyInstrumented(NCube2(core.AllPort), []*core.Tree{tr}, 2048, Instrumentation{})[0]
 		if want.Makespan != got.Makespan || len(want.Recv) != len(got.Recv) {
-			t.Fatalf("single-tree RunMany diverges: %v vs %v", got.Makespan, want.Makespan)
+			t.Fatalf("single-tree RunManyInstrumented diverges: %v vs %v", got.Makespan, want.Makespan)
 		}
 	}
 }
@@ -37,7 +37,7 @@ func TestRunManyDisjointSubcubesIndependent(t *testing.T) {
 	trB := core.Build(c, core.WSort, 32, destsB)
 	soloA := Run(p, trA, 4096)
 	soloB := Run(p, trB, 4096)
-	both := RunMany(p, []*core.Tree{trA, trB}, 4096)
+	both := RunManyInstrumented(p, []*core.Tree{trA, trB}, 4096, Instrumentation{})
 	if both[0].Makespan != soloA.Makespan || both[1].Makespan != soloB.Makespan {
 		t.Fatalf("disjoint multicasts interfered: %v/%v vs %v/%v",
 			both[0].Makespan, both[1].Makespan, soloA.Makespan, soloB.Makespan)
@@ -64,7 +64,7 @@ func TestRunManyInterference(t *testing.T) {
 			trees = append(trees, tr)
 			solos = append(solos, Run(p, tr, 4096).Makespan)
 		}
-		results := RunMany(p, trees, 4096)
+		results := RunManyInstrumented(p, trees, 4096, Instrumentation{})
 		for i, r := range results {
 			if r.Makespan < solos[i] {
 				t.Fatalf("tree %d faster under load: %v < %v", i, r.Makespan, solos[i])
@@ -103,12 +103,12 @@ func TestRunManyAlgorithmOrderingUnderLoad(t *testing.T) {
 			}
 			return out
 		}
-		for _, r := range RunMany(p, build(core.UCube), 4096) {
+		for _, r := range RunManyInstrumented(p, build(core.UCube), 4096, Instrumentation{}) {
 			if r.Makespan > uc {
 				uc = r.Makespan
 			}
 		}
-		for _, r := range RunMany(p, build(core.WSort), 4096) {
+		for _, r := range RunManyInstrumented(p, build(core.WSort), 4096, Instrumentation{}) {
 			if r.Makespan > ws {
 				ws = r.Makespan
 			}
@@ -120,8 +120,8 @@ func TestRunManyAlgorithmOrderingUnderLoad(t *testing.T) {
 }
 
 func TestRunManyValidation(t *testing.T) {
-	if got := RunMany(NCube2(core.AllPort), nil, 128); got != nil {
-		t.Error("empty RunMany should return nil")
+	if got := RunManyInstrumented(NCube2(core.AllPort), nil, 128, Instrumentation{}); got != nil {
+		t.Error("empty RunManyInstrumented should return nil")
 	}
 	cA := topology.New(4, topology.HighToLow)
 	cB := topology.New(5, topology.HighToLow)
@@ -132,5 +132,5 @@ func TestRunManyValidation(t *testing.T) {
 			t.Error("mixed cubes did not panic")
 		}
 	}()
-	RunMany(NCube2(core.AllPort), []*core.Tree{trA, trB}, 128)
+	RunManyInstrumented(NCube2(core.AllPort), []*core.Tree{trA, trB}, 128, Instrumentation{})
 }

@@ -16,7 +16,6 @@ package ncube
 
 import (
 	"fmt"
-	"sync"
 
 	"hypercube/internal/core"
 	"hypercube/internal/event"
@@ -50,7 +49,8 @@ type Params struct {
 	VCPolicy vc.Kind
 
 	// Reliability knobs for the fault-tolerant protocol
-	// (RunFaultTolerant). The fault-free entry points ignore them.
+	// (RunFaultTolerantInstrumented). The fault-free entry points ignore
+	// them.
 
 	// AckTimeout is the base wait for an end-to-end acknowledgment
 	// before a unicast is retransmitted; 0 selects a default derived
@@ -71,15 +71,12 @@ type Params struct {
 	WatchdogSteps int
 	WatchdogTime  event.Time
 
-	// Workers selects the event-kernel execution mode: 0 or 1 runs the
-	// classic single-threaded calendar; >1 drives the run through the
-	// conservative parallel executor (event.ParallelQueue) with that
-	// many workers. One shared network is one conflict domain — a single
-	// run gains no concurrency by itself — but the batch entry points
-	// (RunParallel, workload sweeps, traffic sweeps, the serving tier)
-	// fan independent conflict domains across the workers. Results are
-	// byte-identical at every worker count; the differential test wall
-	// pins this.
+	// Workers is the number of goroutines a batch entry point fans its
+	// independent runs across: RunParallelInstrumented (one session per
+	// tree) and, above it, the workload sweeps. A single run, a Session
+	// scenario and a fault-tolerant run are one shared network each and
+	// ignore it. Results are byte-identical at every worker count; the
+	// differential test wall pins this.
 	Workers int
 }
 
@@ -170,9 +167,9 @@ type Result struct {
 	// zero if and only if the execution was physically contention-free.
 	TotalBlocked event.Time
 
-	// Status, set by the fault-tolerant protocol (RunFaultTolerant),
-	// maps every requested destination to its delivery outcome. Nil for
-	// the fault-free entry points.
+	// Status, set by the fault-tolerant protocol
+	// (RunFaultTolerantInstrumented), maps every requested destination to
+	// its delivery outcome. Nil for the fault-free entry points.
 	Status map[topology.NodeID]DeliveryStatus
 	// Retries counts retransmitted unicasts; Repairs counts multicast-
 	// tree repairs (relay detours plus subtree recomputations). Zero for
@@ -250,136 +247,6 @@ func (r Result) Stats(dests []topology.NodeID) (avg, max event.Time) {
 	return sum / event.Time(len(dests)), max
 }
 
-// nodeState tracks the software/injection state of one node during a run.
-// It doubles as the node's pre-bound calendar event (event.Op): a node has
-// at most one software event pending at any instant — its receive overhead
-// completing, or the CPU setup of one send — so the node object itself
-// carries the dispatch stage and rides the calendar without per-event
-// closures.
-type nodeState struct {
-	env   *runEnv
-	sends []core.Send
-	next  int // next send to set up
-	stage int8
-}
-
-const (
-	nodeRecvDone  int8 = iota // TRecv paid; begin forwarding
-	nodeSetupDone             // TStartup paid; inject sends[next-1]
-)
-
-// RunEvent dispatches the node's pending software event.
-func (st *nodeState) RunEvent() {
-	if st.stage == nodeRecvDone {
-		st.env.issueNext(st)
-		return
-	}
-	st.env.setupDone(st)
-}
-
-// runEnv is the pooled per-run scratch of a simulation: the event calendar,
-// the interconnect (with its channel table), the per-node software states,
-// and cached callback values. Runs borrow one from envPool, so experiment
-// drivers and the serving worker pool amortize these structures across
-// runs; everything run-specific is rebound in getEnv.
-type runEnv struct {
-	q     event.Queue
-	net   *wormhole.Network
-	p     Params
-	bytes int
-	nodes nodeTable
-	res   *Result
-
-	// Method values cached once per env so the hot paths do not allocate
-	// one per send (deliver) or per run (the diagnoser).
-	deliverFn func(wormhole.Delivery)
-	diagFn    func() string
-}
-
-var envPool = sync.Pool{New: func() any { return new(runEnv) }}
-
-// getEnv borrows an env and rebinds it to one run's machine and tree.
-func getEnv(p Params, tr *core.Tree, res *Result, bytes int) *runEnv {
-	env := borrowEnv(p, tr.Cube)
-	env.bytes, env.res = bytes, res
-	env.nodes.init(env, tr.Cube.Nodes())
-	for i, v := range tr.Order {
-		env.nodes.state(env, v).sends = tr.Sends[i]
-	}
-	return env
-}
-
-// borrowEnv borrows an env with a fresh calendar and network for machine p
-// on cube; the network keeps its message free list from earlier runs.
-func borrowEnv(p Params, cube topology.Cube) *runEnv {
-	env := envPool.Get().(*runEnv)
-	cfg := p.NetConfig()
-	env.q.Reset()
-	if env.net == nil {
-		env.net = wormhole.New(&env.q, cube, cfg)
-		env.deliverFn = env.deliver
-		env.diagFn = env.net.Diagnose
-	} else {
-		env.net.Reset(&env.q, cube, cfg)
-	}
-	env.p = p
-	return env
-}
-
-// release scrubs run-specific references and returns the env to the pool.
-// Callers skip it when the run panicked — a half-torn-down env must not be
-// reused.
-func (env *runEnv) release() {
-	env.nodes.release()
-	env.res = nil
-	envPool.Put(env)
-}
-
-// issueNext sets up node st's next pending unicast; under the one-port
-// model the following send is issued only after this one's tail has drained
-// into the network (single DMA pair), while the all-port model overlaps
-// transmissions and is limited only by the serial per-send CPU setup.
-func (env *runEnv) issueNext(st *nodeState) {
-	if st.next >= len(st.sends) {
-		return
-	}
-	st.next++
-	st.stage = nodeSetupDone
-	env.q.AfterOp(env.p.TStartup, st)
-}
-
-// setupDone injects the unicast whose CPU setup just completed. Under the
-// all-port model the sender moves straight on to its next send; under the
-// one-port model deliver restarts it once this send has drained.
-func (env *runEnv) setupDone(st *nodeState) {
-	snd := st.sends[st.next-1]
-	env.net.Send(snd.From, snd.To, env.bytes, env.deliverFn)
-	if env.p.Port == core.AllPort {
-		env.issueNext(st)
-	}
-}
-
-// deliver records a completed unicast and starts the receiver's software
-// overhead, after which the receiver begins its own forwarding work. Under
-// the one-port model the sender's port is now free, so it sets up its next
-// send.
-func (env *runEnv) deliver(d wormhole.Delivery) {
-	res := env.res
-	if _, dup := res.Recv[d.To]; dup {
-		panic(fmt.Sprintf("ncube: node %v received twice", d.To))
-	}
-	res.Recv[d.To] = d.Arrived
-	if d.Arrived > res.Makespan {
-		res.Makespan = d.Arrived
-	}
-	st := env.nodes.state(env, d.To)
-	st.stage = nodeRecvDone
-	env.q.AfterOp(env.p.TRecv, st)
-	if env.p.Port == core.OnePort {
-		env.issueNext(env.nodes.state(env, d.From))
-	}
-}
-
 // Instrumentation bundles the optional observers of a simulation run: a
 // channel-event tracer (see the trace package) and a metrics registry
 // (event-queue, network, and protocol counters). The zero value runs
@@ -410,16 +277,11 @@ func (ins Instrumentation) instrument(q *event.Queue, net *wormhole.Network) {
 	}
 }
 
-// Run executes the multicast tree on the simulated machine and returns the
-// per-node receipt times. The message is bytes long.
+// Run executes the multicast tree on the simulated machine — one tree
+// execution started at t=0 on a pooled Session — and returns the per-node
+// receipt times. The message is bytes long.
 func Run(p Params, tr *core.Tree, bytes int) Result {
 	return RunInstrumented(p, tr, bytes, Instrumentation{})
-}
-
-// RunWithTracer is Run with a channel-event observer attached to the
-// interconnect (see the trace package).
-func RunWithTracer(p Params, tr *core.Tree, bytes int, tracer wormhole.Tracer) Result {
-	return RunInstrumented(p, tr, bytes, Instrumentation{Tracer: tracer})
 }
 
 // RunInstrumented is Run with full observability attached: tracer
@@ -444,22 +306,11 @@ func RunInstrumented(p Params, tr *core.Tree, bytes int, ins Instrumentation) Re
 // held-channel snapshot — the entry point the serving subsystem uses to
 // bound untrusted requests instead of trusting them to terminate.
 func RunInstrumentedBudget(p Params, tr *core.Tree, bytes int, ins Instrumentation, maxSteps int, maxTime event.Time) (Result, error) {
-	p.Validate()
-	res := Result{
-		Algorithm: tr.Algorithm,
-		Bytes:     bytes,
-		Recv:      make(map[topology.NodeID]event.Time, tr.NumUnicasts()),
-	}
-	env := getEnv(p, tr, &res, bytes)
-	ins.instrument(&env.q, env.net)
+	s := NewSession(p, tr.Cube, ins)
 	ins.Metrics.Counter("mcast_runs").Inc()
-
-	env.issueNext(env.nodes.state(env, tr.Source))
-	env.q.SetDiagnoser(env.diagFn)
-	_, err := runQueue(&env.q, p.Workers, maxSteps, maxTime)
-	res.TotalBlocked = env.net.TotalBlocked()
-	finishTracer(ins.Tracer, env.q.Now())
-	env.release()
-
-	return res, err
+	res := s.start(tr, bytes)
+	err := s.Run(maxSteps, maxTime)
+	out := *res
+	s.Release()
+	return out, err
 }

@@ -16,84 +16,36 @@ import (
 // small cubes and diff it against dense.
 var denseNodeLimit = 1 << 14
 
-// nodeTable is the per-run node software-state store: dense below
+// opTable is a treeOp's node software-state store: dense below
 // denseNodeLimit, sparse (lazily populated map) above. Exactly one
 // backend is active. Lookups never iterate the map, so the backend
 // cannot influence event order.
-type nodeTable struct {
-	dense  []nodeState
-	sparse map[topology.NodeID]*nodeState
-}
-
-// init rebinds the table for a run over n nodes, reusing backing storage
-// where shapes allow.
-func (nt *nodeTable) init(env *runEnv, n int) {
-	if n <= denseNodeLimit {
-		nt.sparse = nil
-		if cap(nt.dense) < n {
-			nt.dense = make([]nodeState, n)
-		}
-		nt.dense = nt.dense[:n]
-		for i := range nt.dense {
-			nt.dense[i] = nodeState{env: env}
-		}
-		return
-	}
-	nt.dense = nil
-	if nt.sparse == nil {
-		nt.sparse = make(map[topology.NodeID]*nodeState)
-	} else {
-		clear(nt.sparse)
-	}
-}
-
-// state returns node v's software state, materializing it on first touch
-// under the sparse backend.
-func (nt *nodeTable) state(env *runEnv, v topology.NodeID) *nodeState {
-	if nt.dense != nil {
-		return &nt.dense[v]
-	}
-	st, ok := nt.sparse[v]
-	if !ok {
-		st = &nodeState{env: env}
-		nt.sparse[v] = st
-	}
-	return st
-}
-
-// release drops run-specific references so the pooled env retains no
-// trees: dense entries keep their storage with sends cleared; the sparse
-// map is emptied outright (its states belong to the finished run).
-func (nt *nodeTable) release() {
-	for i := range nt.dense {
-		nt.dense[i].sends = nil
-	}
-	if nt.sparse != nil {
-		clear(nt.sparse)
-	}
-}
-
-// opTable is nodeTable's counterpart for a Session treeOp: the per-op node
-// store is dense below denseNodeLimit and a lazily populated map above, so
-// injecting a small multicast into a giant cube costs per-touched-node
-// state, not per-cube. treeOps are not pooled, so init builds fresh
-// storage each time.
 type opTable struct {
 	dense  []opNode
 	sparse map[topology.NodeID]*opNode
 }
 
-// init sizes the table for a cube of n nodes; hint is the expected number
-// of touched nodes under the sparse backend.
+// init rebinds the table to op over a cube of n nodes, reusing backing
+// storage where shapes allow; hint is the expected number of touched
+// nodes under the sparse backend.
 func (ot *opTable) init(op *treeOp, n, hint int) {
 	if n <= denseNodeLimit {
-		ot.dense = make([]opNode, n)
+		ot.sparse = nil
+		if cap(ot.dense) < n {
+			ot.dense = make([]opNode, n)
+		}
+		ot.dense = ot.dense[:n]
 		for i := range ot.dense {
-			ot.dense[i].op = op
+			ot.dense[i] = opNode{op: op}
 		}
 		return
 	}
-	ot.sparse = make(map[topology.NodeID]*opNode, hint)
+	ot.dense = nil
+	if ot.sparse == nil {
+		ot.sparse = make(map[topology.NodeID]*opNode, hint)
+	} else {
+		clear(ot.sparse)
+	}
 }
 
 // state returns node v's per-op state, materializing it on first touch
@@ -108,4 +60,14 @@ func (ot *opTable) state(op *treeOp, v topology.NodeID) *opNode {
 		ot.sparse[v] = st
 	}
 	return st
+}
+
+// release drops the finished op's references so a pooled session retains
+// no trees: dense entries keep their storage with sends cleared; the
+// sparse map is emptied outright (its states belong to the finished op).
+func (ot *opTable) release() {
+	for i := range ot.dense {
+		ot.dense[i].sends = nil
+	}
+	clear(ot.sparse)
 }

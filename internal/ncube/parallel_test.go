@@ -35,7 +35,7 @@ func batchTrees(t *testing.T) []*core.Tree {
 }
 
 // TestRunParallelMatchesSequential is the core batch-equivalence check:
-// RunParallel over a mixed batch must reproduce, result for result, the
+// RunParallelInstrumented over a mixed batch must reproduce, result for result, the
 // loop of sequential Run calls — at every worker count, for both port
 // models.
 func TestRunParallelMatchesSequential(t *testing.T) {
@@ -49,9 +49,9 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			pw := p
 			pw.Workers = workers
-			got := RunParallel(pw, trees, 512)
+			got := RunParallelInstrumented(pw, trees, 512, Instrumentation{})
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("port=%v workers=%d: RunParallel diverges from sequential Run", port, workers)
+				t.Fatalf("port=%v workers=%d: RunParallelInstrumented diverges from sequential Run", port, workers)
 			}
 		}
 	}
@@ -84,8 +84,8 @@ func TestRunParallelMetricsInvariant(t *testing.T) {
 	}
 }
 
-// TestWorkersGatedSingleRun drives single runs (the 1-LP parallel path)
-// and requires byte-identity with the classic loop.
+// TestWorkersGatedSingleRun: a single run ignores Params.Workers (workers
+// fan out batches only), so its result is byte-identical at any setting.
 func TestWorkersGatedSingleRun(t *testing.T) {
 	cube := topology.New(5, topology.HighToLow)
 	tr := core.Build(cube, core.Combine, 3, []topology.NodeID{1, 7, 12, 19, 28, 30})
@@ -101,7 +101,7 @@ func TestWorkersGatedSingleRun(t *testing.T) {
 }
 
 // TestRunParallelPoolReuse interleaves parallel batches with sequential
-// runs to pin pooled-env hygiene: a pooled env recycled out of a parallel
+// runs to pin session hygiene: a pooled session recycled out of a parallel
 // batch must behave exactly like a fresh one.
 func TestRunParallelPoolReuse(t *testing.T) {
 	trees := batchTrees(t)
@@ -109,7 +109,7 @@ func TestRunParallelPoolReuse(t *testing.T) {
 	p.Workers = 4
 	want := Run(NCube2(core.OnePort), trees[0], 512)
 	for round := 0; round < 3; round++ {
-		RunParallel(p, trees, 512)
+		RunParallelInstrumented(p, trees, 512, Instrumentation{})
 		if got := Run(NCube2(core.OnePort), trees[0], 512); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: sequential run after parallel batch diverges", round)
 		}

@@ -10,17 +10,23 @@ import (
 	"hypercube/internal/wormhole"
 )
 
-// Session is a pooled shared-calendar run environment for executing MANY
-// collective operations on ONE simulated network, each injected at its own
-// simulated time. Where Run owns the calendar for a single tree and RunMany
-// launches a fixed batch at t=0, a Session exposes the calendar itself:
-// callers schedule injections (InjectTree, or arbitrary callbacks via At)
-// and then drive the whole scenario with Run. This is the substrate of the
-// traffic engine (internal/traffic).
+// Session is the simulator's one multicast executor: a pooled event
+// calendar and interconnect on which tree executions (treeOps) run. The
+// standalone entry points start their trees on a session at t=0 — Run and
+// RunInstrumented* one tree, RunManyInstrumented a batch sharing the
+// network, RunParallelInstrumented one session per tree — and the traffic
+// engine (internal/traffic) injects trees at arbitrary simulated times with
+// InjectTree, or schedules arbitrary callbacks with At, then drives the
+// whole scenario with Run. RunDistributed and the fault-tolerant protocol
+// borrow only its calendar and network.
 //
 // A Session is single-threaded, like the event kernel beneath it. Borrow
 // one with NewSession, schedule work, call Run exactly once, read results,
-// then Release it back to the pool (skip Release if Run panicked).
+// then Release it back to the pool (skip Release if Run panicked). A
+// treeOp and its node table are recycled into later trees of the same
+// session — an injected op with a done hook as soon as it goes quiet, so a
+// long scenario holds state only for the ops in flight, the rest at
+// Release.
 type Session struct {
 	q      event.Queue
 	net    *wormhole.Network
@@ -29,13 +35,19 @@ type Session struct {
 	diagFn func() string
 
 	// faulted is set by SetFaults: injection paths switch to loss-tracked
-	// sends (per-send closures) only when a fault model is installed, so
-	// fault-free scenarios keep the allocation-free hot path bit-for-bit.
+	// sends (a per-send loss closure) only when a fault model is
+	// installed, so fault-free scenarios keep the allocation-free hot
+	// path bit-for-bit.
 	faulted bool
 	// extraDiag, when set, is appended to the network diagnoser's output
 	// on a watchdog trip (the traffic engine contributes faulted arcs and
 	// per-op progress).
 	extraDiag func() string
+
+	// ops are the trees whose results the caller reads after Run (started
+	// ones, and injected ones without a done hook); Release scrubs them
+	// onto free, where later trees pick them up.
+	ops, free []*treeOp
 }
 
 var sessionPool = sync.Pool{New: func() any { return new(Session) }}
@@ -98,72 +110,149 @@ func (s *Session) Diagnose() string {
 // At schedules fn on the shared calendar at absolute time t.
 func (s *Session) At(t event.Time, fn func()) { s.q.At(t, fn) }
 
-// Run drives the calendar to exhaustion under the event watchdog
-// (see event.Queue.RunBudget; maxSteps <= 0 selects the default budget,
-// maxTime <= 0 is unbounded). It attaches the network diagnoser so a
-// wedged scenario reports its held channels, and flushes any tracer.
-func (s *Session) Run(maxSteps int, maxTime event.Time) error {
+// armDiagnoser attaches the session's stall report to its calendar.
+func (s *Session) armDiagnoser() {
 	if s.extraDiag != nil {
 		s.q.SetDiagnoser(s.Diagnose)
 	} else {
 		s.q.SetDiagnoser(s.diagFn)
 	}
-	_, err := runQueue(&s.q, s.p.Workers, maxSteps, maxTime)
+}
+
+// Run drives the calendar to exhaustion under the event watchdog
+// (see event.Queue.RunBudget; maxSteps <= 0 selects the default budget,
+// maxTime <= 0 is unbounded). It attaches the network diagnoser so a
+// wedged scenario reports its held channels, and flushes any tracer.
+func (s *Session) Run(maxSteps int, maxTime event.Time) error {
+	s.armDiagnoser()
+	_, err := s.q.RunBudget(maxSteps, maxTime)
 	finishTracer(s.ins.Tracer, s.q.Now())
 	return err
 }
 
 // Release returns the session to the pool. Fault state is detached here
 // (and again by NewSession's network reset) so a recycled session starts
-// fault-free even if its previous scenario was faulted. Callers skip
-// Release when the run panicked — a half-torn-down session must not be
-// reused.
+// fault-free even if its previous scenario was faulted. The session's
+// treeOps are scrubbed and kept for reuse, so every *Result InjectTree
+// returned is invalid from here on; ops still in flight (a run cut short
+// by its watchdog) are dropped with the calendar. Callers skip Release when the run
+// panicked — a half-torn-down session must not be reused.
 func (s *Session) Release() {
 	s.q.Reset()
 	s.ins = Instrumentation{}
 	s.net.SetFaults(nil)
 	s.faulted = false
 	s.extraDiag = nil
+	for _, op := range s.ops {
+		op.recycle()
+	}
+	clear(s.ops)
+	s.ops = s.ops[:0]
 	sessionPool.Put(s)
 }
 
-// treeOp is one multicast tree executing inside a Session. It is its own
-// injection event: scheduled with AtOp, its RunEvent starts the root's
-// first send at the op's injection instant. Node software states are
-// per-op (a processor can participate in several concurrent collectives,
-// one handler per message tag — same model as RunMany).
+// treeOp is one multicast tree executing inside a Session: the machine's
+// node software, node by node. A node pays the receive overhead, sets up
+// each of its sends serially on its CPU, and injects them as the port
+// model allows. Node software states are per-op (a processor can take
+// part in several concurrent collectives, one handler per message tag).
+// The op is its own injection event: InjectTree schedules it with AtOp.
 type treeOp struct {
 	s        *Session
 	src      topology.NodeID
 	bytes    int
 	start    event.Time
 	expected int // deliveries outstanding
-	lost     int // deliveries the fault model destroyed (stranded subtrees)
+	pending  int // node software events on the calendar
 	res      Result
 	done     func(*Result)
 	nodes    opTable
 
-	// deliver bound once per op so all-port sends don't allocate a
-	// closure per unicast.
+	// deliverFn is bound once per op, which recycling keeps, so no send
+	// allocates a delivery callback.
 	deliverFn func(wormhole.Delivery)
 }
 
-// opNode mirrors nodeState for one node's role inside one treeOp.
+// opNode is one node's software state inside one treeOp. It doubles as
+// the node's pre-bound calendar event (event.Op): a node has at most one
+// software event pending at any instant — its receive overhead
+// completing, or the CPU setup of one send — so the node carries the
+// dispatch stage and rides the calendar without per-event closures.
 type opNode struct {
 	op    *treeOp
 	sends []core.Send
-	next  int
+	next  int // next send to set up
 	stage int8
 }
 
-// RunEvent dispatches the node's pending software event (same staging as
-// nodeState: receive overhead done, or one send's CPU setup done).
+const (
+	nodeRecvDone  int8 = iota // TRecv paid; begin forwarding
+	nodeSetupDone             // TStartup paid; inject sends[next-1]
+)
+
+// RunEvent dispatches the node's pending software event.
 func (st *opNode) RunEvent() {
+	op := st.op
+	op.pending--
 	if st.stage == nodeRecvDone {
-		st.op.issueNext(st)
-		return
+		op.issueNext(st)
+	} else {
+		op.setupDone(st)
 	}
-	st.op.setupDone(st)
+	op.settle()
+}
+
+// newOp binds a recycled (or new) treeOp to tree tr.
+func (s *Session) newOp(tr *core.Tree, bytes int, done func(*Result)) *treeOp {
+	var op *treeOp
+	if n := len(s.free); n > 0 {
+		op, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		op = &treeOp{s: s}
+		op.deliverFn = op.deliver
+	}
+	expected := tr.NumUnicasts()
+	op.src, op.bytes, op.start = tr.Source, bytes, 0
+	op.expected, op.pending, op.done = expected, 0, done
+	op.res = Result{
+		Algorithm: tr.Algorithm,
+		Bytes:     bytes,
+		Recv:      make(map[topology.NodeID]event.Time, expected),
+	}
+	op.nodes.init(op, tr.Cube.Nodes(), len(tr.Order))
+	for i, v := range tr.Order {
+		op.nodes.state(op, v).sends = tr.Sends[i]
+	}
+	if done == nil {
+		s.ops = append(s.ops, op)
+	}
+	return op
+}
+
+// recycle scrubs the op onto its session's free list.
+func (op *treeOp) recycle() {
+	op.nodes.release()
+	op.res, op.done = Result{}, nil
+	op.s.free = append(op.s.free, op)
+}
+
+// settle recycles an injected op with a done hook once it is quiet: every
+// delivery is in (or written off), done has fired, and none of its node
+// software events is left on the calendar. The network then holds no
+// message of the op either, so nothing can reach it before it is reused.
+func (op *treeOp) settle() {
+	if op.done != nil && op.expected == 0 && op.pending == 0 {
+		op.recycle()
+	}
+}
+
+// start begins executing tr at the current instant, without an injection
+// event, so a standalone run's calendar holds exactly the multicast's own
+// events. Result times are relative to the start (absolute at t=0).
+func (s *Session) start(tr *core.Tree, bytes int) *Result {
+	op := s.newOp(tr, bytes, nil)
+	op.RunEvent()
+	return &op.res
 }
 
 // InjectTree schedules tr to start executing at absolute simulated time at
@@ -171,28 +260,15 @@ func (st *opNode) RunEvent() {
 // scenario runs: Recv times and Makespan are RELATIVE to the injection
 // instant, so an op that runs without interference reproduces Run's result
 // for the same tree exactly. TotalBlocked accumulates only this op's own
-// unicast blocking (unlike RunMany's network-wide total). If done is
-// non-nil it fires at the op's completion instant — the arrival of its
-// last unicast — on the shared calendar.
+// unicast blocking (unlike RunManyInstrumented's network-wide total). If
+// done is non-nil it fires at the op's completion instant — the arrival of
+// its last unicast — on the shared calendar.
+//
+// The session recycles the op, so the *Result is valid only until done
+// returns, or with a nil done until Release; copy the Result value out to
+// keep it (its Recv map stays the caller's).
 func (s *Session) InjectTree(at event.Time, tr *core.Tree, bytes int, done func(*Result)) *Result {
-	expected := tr.NumUnicasts()
-	op := &treeOp{
-		s:        s,
-		src:      tr.Source,
-		bytes:    bytes,
-		expected: expected,
-		done:     done,
-		res: Result{
-			Algorithm: tr.Algorithm,
-			Bytes:     bytes,
-			Recv:      make(map[topology.NodeID]event.Time, expected),
-		},
-	}
-	op.deliverFn = op.deliver
-	op.nodes.init(op, tr.Cube.Nodes(), len(tr.Order))
-	for i, v := range tr.Order {
-		op.nodes.state(op, v).sends = tr.Sends[i]
-	}
+	op := s.newOp(tr, bytes, done)
 	s.q.AtOp(at, op)
 	return &op.res
 }
@@ -204,56 +280,49 @@ func (op *treeOp) RunEvent() {
 		if op.done != nil {
 			op.done(&op.res)
 		}
+		op.settle()
 		return
 	}
 	op.issueNext(op.nodes.state(op, op.src))
 }
 
-// issueNext and setupDone mirror runEnv's mechanics exactly: serial
-// per-send CPU setup, with the one-port model additionally gating the next
-// issue on the previous tail draining.
+// issueNext sets up node st's next pending unicast. Under the one-port
+// model the following send is issued only after this one's tail has
+// drained into the network (single DMA pair: deliver restarts the sender),
+// while the all-port model overlaps transmissions and is limited only by
+// the serial per-send CPU setup.
 func (op *treeOp) issueNext(st *opNode) {
 	if st.next >= len(st.sends) {
 		return
 	}
 	st.next++
 	st.stage = nodeSetupDone
+	op.pending++
 	op.s.q.AfterOp(op.s.p.TStartup, st)
 }
 
+// setupDone injects the unicast whose CPU setup just completed. Under the
+// all-port model the sender moves straight on to its next send.
 func (op *treeOp) setupDone(st *opNode) {
 	snd := st.sends[st.next-1]
 	if op.s.faulted {
-		// Loss-tracked sends: a destroyed message strands the whole
+		// Loss-tracked send: a destroyed message strands the whole
 		// subtree behind its target, which must be written off or the
 		// op (and the scenario behind it) would wait forever.
-		switch op.s.p.Port {
-		case core.AllPort:
-			op.s.net.SendTracked(snd.From, snd.To, op.bytes, op.deliverFn,
-				func() { op.lose(snd.To) })
-			op.issueNext(st)
-		case core.OnePort:
-			op.s.net.SendTracked(snd.From, snd.To, op.bytes, func(d wormhole.Delivery) {
-				op.deliver(d)
+		op.s.net.SendTracked(snd.From, snd.To, op.bytes, op.deliverFn, func() {
+			op.lose(snd.To)
+			if op.s.p.Port == core.OnePort {
+				// The port frees when the message dies, exactly as
+				// on a delivery: the node's later sends still go out.
 				op.issueNext(st)
-			}, func() {
-				// The port frees when the message dies, exactly as on
-				// a delivery: the node's later sends still go out.
-				op.lose(snd.To)
-				op.issueNext(st)
-			})
-		}
-		return
-	}
-	switch op.s.p.Port {
-	case core.AllPort:
-		op.s.net.Send(snd.From, snd.To, op.bytes, op.deliverFn)
-		op.issueNext(st)
-	case core.OnePort:
-		op.s.net.Send(snd.From, snd.To, op.bytes, func(d wormhole.Delivery) {
-			op.deliver(d)
-			op.issueNext(st)
+			}
+			op.settle()
 		})
+	} else {
+		op.s.net.Send(snd.From, snd.To, op.bytes, op.deliverFn)
+	}
+	if op.s.p.Port == core.AllPort {
+		op.issueNext(st)
 	}
 }
 
@@ -271,7 +340,6 @@ func (op *treeOp) lose(to topology.NodeID) {
 
 func (op *treeOp) strand(v topology.NodeID) {
 	op.expected--
-	op.lost++
 	for _, snd := range op.nodes.state(op, v).sends {
 		op.strand(snd.To)
 	}
@@ -279,9 +347,10 @@ func (op *treeOp) strand(v topology.NodeID) {
 
 // deliver records one completed unicast in op-relative time and starts the
 // receiver's software overhead. The op's done hook fires when the last
-// outstanding delivery lands — i.e. at the makespan instant, matching
-// Run's arrival-time semantics (the final receiver's residual TRecv is not
-// part of the multicast delay, exactly as in Run).
+// outstanding delivery lands — at the makespan instant; the final
+// receiver's residual TRecv is not part of the multicast delay. Under the
+// one-port model the sender's port is now free, so it sets up its next
+// send.
 func (op *treeOp) deliver(d wormhole.Delivery) {
 	rel := d.Arrived - op.start
 	if _, dup := op.res.Recv[d.To]; dup {
@@ -294,9 +363,13 @@ func (op *treeOp) deliver(d wormhole.Delivery) {
 	op.res.TotalBlocked += d.Blocked
 	st := op.nodes.state(op, d.To)
 	st.stage = nodeRecvDone
+	op.pending++
 	op.s.q.AfterOp(op.s.p.TRecv, st)
 	op.expected--
 	if op.expected == 0 && op.done != nil {
 		op.done(&op.res)
+	}
+	if op.s.p.Port == core.OnePort {
+		op.issueNext(op.nodes.state(op, d.From))
 	}
 }

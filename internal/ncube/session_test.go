@@ -54,9 +54,13 @@ func TestSessionDoneFiresAtMakespan(t *testing.T) {
 	s := NewSession(NCube2(core.AllPort), cube, Instrumentation{})
 	var doneAt event.Time
 	var doneRes *Result
+	var makespan event.Time
+	// The session recycles an op with a done hook once it goes quiet, so
+	// its result is read inside the hook.
 	res := s.InjectTree(at, tr, 1024, func(r *Result) {
 		doneAt = s.Now()
 		doneRes = r
+		makespan = r.Makespan
 	})
 	if err := s.Run(0, 0); err != nil {
 		t.Fatalf("session run: %v", err)
@@ -64,8 +68,8 @@ func TestSessionDoneFiresAtMakespan(t *testing.T) {
 	if doneRes != res {
 		t.Fatalf("done hook received a different result pointer")
 	}
-	if want := at + res.Makespan; doneAt != want {
-		t.Errorf("done fired at %v, want injection %v + makespan %v = %v", doneAt, at, res.Makespan, want)
+	if want := at + makespan; doneAt != want {
+		t.Errorf("done fired at %v, want injection %v + makespan %v = %v", doneAt, at, makespan, want)
 	}
 	s.Release()
 }

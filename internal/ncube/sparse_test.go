@@ -104,7 +104,7 @@ func TestGiantCubeSmoke(t *testing.T) {
 	// Same tree, parallel batch path.
 	p := NCube2(core.AllPort)
 	p.Workers = 4
-	batch := RunParallel(p, []*core.Tree{tr, tr}, 256)
+	batch := RunParallelInstrumented(p, []*core.Tree{tr, tr}, 256, Instrumentation{})
 	for i, r := range batch {
 		if !reflect.DeepEqual(r, res) {
 			t.Fatalf("batch run %d diverges from single run on 17-cube", i)

@@ -257,7 +257,7 @@ func (s *Server) runTraffic(req TrafficRequest) (any, error) {
 	// the engine re-canonicalizes under permissive limits, which is a no-op
 	// on canonical specs, so the trace is a pure function of the cache key.
 	s.mSims.Inc()
-	res, err := traffic.RunBudgetWorkers(&req.Spec, s.cfg.SimWorkers, s.cfg.WatchdogSteps, s.cfg.WatchdogTime)
+	res, err := traffic.RunBudget(&req.Spec, s.cfg.WatchdogSteps, s.cfg.WatchdogTime)
 	if err != nil {
 		return nil, err
 	}

@@ -50,13 +50,13 @@ import (
 type Config struct {
 	// Workers is the simulation worker count (default GOMAXPROCS).
 	Workers int
-	// SimWorkers is the per-job event-kernel worker count passed through
-	// to the simulation layer (ncube.Params.Workers): traffic scenarios
-	// and sweep jobs fan their independent conflict domains across this
-	// many workers. 0 or 1 keeps jobs single-threaded — the default, so
-	// job-level parallelism (Workers) is the primary throughput knob and
-	// one job cannot starve the pool. Responses are byte-identical at
-	// every setting; the differential test wall pins this.
+	// SimWorkers fans the trials of one /v1/sweep delay point across
+	// this many goroutines (ncube.Params.Workers); it drives sweep trial
+	// fan-out only, and every other job runs on one goroutine. 0 or 1
+	// keeps sweeps single-threaded — the default, so job-level
+	// parallelism (Workers) is the primary throughput knob and one job
+	// cannot starve the pool. Responses are byte-identical at every
+	// setting; the differential test wall pins this.
 	SimWorkers int
 	// QueueDepth bounds the backlog of admitted-but-not-running jobs
 	// (default 64; <0 means 0, i.e. admit only onto an idle worker).

@@ -8,8 +8,9 @@ import (
 
 // TestSimWorkersByteIdentical pins the serving tier's slice of the
 // differential wall: the same traffic and sweep requests produce
-// byte-identical response bodies whether jobs run on the single-threaded
-// calendar (SimWorkers 0) or through the parallel executor (SimWorkers 4).
+// byte-identical response bodies whether sweep trials run on one goroutine
+// (SimWorkers 0) or fan out over four (SimWorkers 4); every other job runs
+// on one goroutine either way.
 func TestSimWorkersByteIdentical(t *testing.T) {
 	reqs := []struct{ path, body string }{
 		{"/v1/traffic", `{"dim":4,"seed":3,"arrivals":{"kind":"poisson","count":12,"rate_per_ms":8,"op":{"kind":"multicast","algorithm":"maxport","bytes":256,"dest_count":5}}}`},

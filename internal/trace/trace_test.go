@@ -20,7 +20,7 @@ func runTraced(t *testing.T, a core.Algorithm, dests []topology.NodeID) (*Record
 	c := topology.New(4, topology.HighToLow)
 	var rec Recorder
 	tr := core.Build(c, a, 0, dests)
-	ncube.RunWithTracer(ncube.NCube2(core.AllPort), tr, 1024, &rec)
+	ncube.RunInstrumented(ncube.NCube2(core.AllPort), tr, 1024, ncube.Instrumentation{Tracer: &rec})
 	return &rec, c
 }
 

@@ -6,13 +6,14 @@ import (
 )
 
 // Pooled traffic runs allocate per-op bookkeeping, trees and results, but
-// nothing per event: the calendar, the network and the node tables are
-// reused across runs. The ceilings are the exact counts for the specs of
-// the root package's TrafficSaturation6Cube and TrafficChaosFaulted5Cube
-// benchmarks, so any new per-send or per-event allocation trips them.
+// nothing per event: the session's calendar, network, tree executions and
+// their node tables are reused across runs. The ceilings are the exact
+// counts for the specs of the root package's TrafficSaturation6Cube and
+// TrafficChaosFaulted5Cube benchmarks, measured in a fresh test process,
+// so any new per-send or per-event allocation trips them.
 func TestRunAllocCeiling(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops pooled envs at random under -race")
+		t.Skip("sync.Pool drops pooled sessions at random under -race")
 	}
 	// A collection empties the pools; keep it off while counting.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -30,7 +31,7 @@ func TestRunAllocCeiling(t *testing.T) {
 					Op: Template{Kind: KindMulticast, DestCount: 32, Bytes: 4096},
 				},
 			}
-		}, 1275},
+		}, 1131},
 		{"chaos-faulted-5cube", func() *Spec {
 			return &Spec{
 				Dim:  5,

@@ -160,34 +160,18 @@ type engine struct {
 // enforcing a stricter boundary canonicalize first) so raw and canonical
 // specs produce identical traces.
 func Run(spec *Spec) (*Result, error) {
-	return RunBudgetWorkers(spec, 0, 0, 0)
-}
-
-// RunWorkers is Run with the scenario driven through the parallel event
-// executor at the given worker count (see ncube.Params.Workers; <= 1 is
-// the classic single-threaded calendar). Results are byte-identical at
-// every worker count — the differential test wall pins this.
-func RunWorkers(spec *Spec, workers int) (*Result, error) {
-	return RunBudgetWorkers(spec, workers, 0, 0)
+	return RunBudget(spec, 0, 0)
 }
 
 // RunBudget is Run under an explicit event-loop watchdog (see
 // event.Queue.RunBudget); exceeding a budget returns the *event.Diagnostic.
 func RunBudget(spec *Spec, maxSteps int, maxTime event.Time) (*Result, error) {
-	return RunBudgetWorkers(spec, 0, maxSteps, maxTime)
-}
-
-// RunBudgetWorkers combines RunWorkers and RunBudget.
-func RunBudgetWorkers(spec *Spec, workers, maxSteps int, maxTime event.Time) (*Result, error) {
 	if err := spec.Canonicalize(PermissiveLimits()); err != nil {
 		return nil, err
 	}
 	p, err := spec.params()
 	if err != nil {
 		return nil, err
-	}
-	if workers > 1 {
-		p.Workers = workers
 	}
 	e := &engine{
 		spec:    spec,

@@ -115,7 +115,7 @@ func LaneSweep(cfg LaneSweepConfig) (*LaneSweepTables, error) {
 	nc := len(cols)
 	results := make([]*Result, len(cfg.RatesPerMS)*nc)
 	errs := make([]error, len(results))
-	pq := event.NewParallel(cfg.Workers, 0)
+	pq := event.NewParallel(cfg.Workers)
 	for ri := range cfg.RatesPerMS {
 		ci := 0
 		for _, port := range cfg.Ports {

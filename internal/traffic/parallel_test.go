@@ -35,33 +35,3 @@ func TestSweepWorkersInvariant(t *testing.T) {
 		}
 	}
 }
-
-// TestRunWorkersInvariant pins byte-identity of a single scenario driven
-// through the worker-gated session path.
-func TestRunWorkersInvariant(t *testing.T) {
-	build := func() *Spec {
-		return &Spec{
-			Dim:  4,
-			Seed: 11,
-			Arrivals: &Arrivals{
-				Kind:      "poisson",
-				Count:     16,
-				RatePerMS: 10,
-				Op:        Template{Kind: KindMulticast, Algorithm: "w-sort", Bytes: 256, DestCount: 6},
-			},
-		}
-	}
-	want, err := Run(build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		got, err := RunWorkers(build(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: scenario result diverges from serial", workers)
-		}
-	}
-}

@@ -76,7 +76,7 @@ func Sweep(cfg SweepConfig) (*SweepTables, error) {
 	nr, na := len(cfg.RatesPerMS), len(cfg.Algorithms)
 	results := make([]*Result, nr*na)
 	errs := make([]error, nr*na)
-	pq := event.NewParallel(cfg.Workers, 0)
+	pq := event.NewParallel(cfg.Workers)
 	for ri := range cfg.RatesPerMS {
 		for ai := range cfg.Algorithms {
 			rate, alg := cfg.RatesPerMS[ri], cfg.Algorithms[ai]

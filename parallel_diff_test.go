@@ -1,11 +1,11 @@
-// The sequential-equivalence test wall: every simulation surface this
-// repository exposes — figure workloads, traffic scenarios (data-carrying
-// and faulted included), batch multicast runs, fault-tolerant protocol
-// runs — is replayed through the sequential kernel and the parallel
-// executor at workers {1, 2, 4, 8}, asserting byte-identical results and
-// metrics invariance. The wall is the proof obligation behind
-// ncube.Params.Workers' contract: worker count can never influence a
-// simulated outcome.
+// The sequential-equivalence test wall: every batch surface this
+// repository exposes — figure workloads, batch multicast runs,
+// fault-tolerant protocol runs — is replayed at workers {1, 2, 4, 8},
+// asserting byte-identical results and metrics invariance, and every
+// traffic scenario family (data-carrying and faulted included) is run
+// twice on recycled sessions, asserting byte-identical results. The wall
+// is the proof obligation behind ncube.Params.Workers' contract: worker
+// count can never influence a simulated outcome.
 package hypercube_test
 
 import (
@@ -79,8 +79,11 @@ func TestWallFigureWorkloads(t *testing.T) {
 
 // wallSpecs builds one traffic spec per scenario family: a dependency mix,
 // a Poisson data-carrying allreduce stream, a faulted fault-tolerant
-// multicast stream under timed link/node chaos, and a group-phase
-// collective round.
+// multicast stream under timed link/node chaos, a group-phase collective
+// round, a one-port multicast stream on two virtual-channel lanes, plain
+// one-port multicasts losing messages to timed link faults, and the
+// remaining collective kinds (gather, allgather, reduce-scatter,
+// alltoall) on one network.
 func wallSpecs() map[string]func() *hypercube.TrafficSpec {
 	parse := func(s string) func() *hypercube.TrafficSpec {
 		return func() *hypercube.TrafficSpec {
@@ -106,13 +109,26 @@ func wallSpecs() map[string]func() *hypercube.TrafficSpec {
 			          {"kind":"node","node":9,"at_us":80}]}`),
 		"group-phase": parse(`{"dim":4,"ops":[{"kind":"group-phase",
 			"groups":[[0,1,2,3,4,5,6,7],[8,9,10,11,12,13,14,15]],"roots":[0,14],"bytes":768}]}`),
+		"one-port-lanes": parse(`{"dim":5,"port":"one-port","lanes":2,"vc_policy":"lowest-occupancy",
+			"seed":13,"arrivals":{"kind":"poisson","count":12,"rate_per_ms":10,
+			"op":{"kind":"multicast","algorithm":"w-sort","dest_count":9,"bytes":512}}}`),
+		"faulted-one-port-multicast": parse(`{"dim":4,"port":"one-port","seed":8,"arrivals":{
+			"kind":"poisson","count":10,"rate_per_ms":6,
+			"op":{"kind":"multicast","dest_count":6,"bytes":256}},
+			"faults":[{"kind":"link","count":3,"seed":2,"at_us":20}]}`),
+		"collective-kinds": parse(`{"dim":4,"seed":17,"ops":[
+			{"kind":"gather","src":3,"bytes":128},
+			{"kind":"allgather","bytes":64,"at_us":10},
+			{"kind":"reduce-scatter","bytes":256,"seed":4},
+			{"kind":"alltoall","bytes":128,"after":["op000"]}]}`),
 	}
 }
 
-// TestWallTrafficScenarios replays every scenario family through
-// traffic.RunWorkers at the wall's worker counts and requires the
-// JSON-encoded Result — op timelines, payload digests, fault outcomes,
-// network totals — to match the sequential run byte for byte.
+// TestWallTrafficScenarios runs every scenario family twice and requires
+// the JSON-encoded Result — op timelines, payload digests, fault outcomes,
+// network totals — to match byte for byte. The second run borrows the
+// pooled session, tree executions and node tables the first one released,
+// so any state a recycled session leaks into its next scenario shows here.
 func TestWallTrafficScenarios(t *testing.T) {
 	for name, build := range wallSpecs() {
 		t.Run(name, func(t *testing.T) {
@@ -121,14 +137,12 @@ func TestWallTrafficScenarios(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := encode(t, ref)
-			for _, workers := range wallWorkers {
-				res, err := traffic.RunWorkers(build(), workers)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if got := encode(t, res); got != want {
-					t.Fatalf("workers=%d: traffic result diverges\nwant %s\ngot  %s", workers, want, got)
-				}
+			res, err := traffic.Run(build())
+			if err != nil {
+				t.Fatalf("second run: %v", err)
+			}
+			if got := encode(t, res); got != want {
+				t.Fatalf("traffic result diverges between runs\nwant %s\ngot  %s", want, got)
 			}
 		})
 	}

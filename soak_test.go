@@ -119,7 +119,7 @@ func TestSoakFaultTolerant7Cube(t *testing.T) {
 			plan.Nodes = []hypercube.NodeFault{{Node: dests[trial%len(dests)], At: 0}}
 		}
 		jp := ncube.JitterParams{Params: p, Amount: 0.15, Seed: seed}
-		res, err := ncube.RunFaultTolerant(jp, cube, core.WSort, src, dests, 512, plan)
+		res, err := ncube.RunFaultTolerantInstrumented(jp, cube, core.WSort, src, dests, 512, plan, ncube.Instrumentation{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
