@@ -34,8 +34,19 @@ type Chain []topology.NodeID
 // ordered through a bitset over the cube, whose size is then at most one
 // word per destination; a sparse one is sorted. Both give the same chain.
 func Relative(c topology.Cube, src topology.NodeID, dests []topology.NodeID) Chain {
+	return AppendRelative(nil, c, src, dests)
+}
+
+// AppendRelative appends the chain Relative builds to dst and returns the
+// extended slice, so a caller that passes its previous chain truncated to
+// length 0 reuses that chain's storage.
+func AppendRelative(dst Chain, c topology.Cube, src topology.NodeID, dests []topology.NodeID) Chain {
 	c.MustContain(src)
-	out := make(Chain, 1, len(dests)+1) // out[0] = 0, the source
+	out := dst
+	if need := len(dst) + len(dests) + 1; cap(out) < need {
+		out = append(make(Chain, 0, max(need, 2*cap(dst))), dst...)
+	}
+	out = append(out, 0) // the source
 	if c.Nodes() <= 64*len(dests) {
 		return appendDense(out, c, c.Canon(src), dests)
 	}

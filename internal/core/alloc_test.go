@@ -16,9 +16,9 @@ func allocWorkload() (topology.Cube, []topology.NodeID) {
 
 // Build allocates a fixed number of objects per tree, independent of the
 // destination count: the relative chain, the tree, its Order and Sends
-// slices, the contiguous send array and the job queue. A per-send or
-// per-sender allocation, or a node-keyed map, creeping back in trips these
-// ceilings.
+// slices, the contiguous send array and the job queue; the throwaway
+// workspace they are built in stays on the stack. A per-send or per-sender allocation, or a
+// node-keyed map, creeping back in trips these ceilings.
 func TestBuildAllocCeilings(t *testing.T) {
 	c, dests := allocWorkload()
 	for _, tc := range []struct {
@@ -30,7 +30,7 @@ func TestBuildAllocCeilings(t *testing.T) {
 		{Combine, 6},
 		{WSort, 6},
 	} {
-		got := testing.AllocsPerRun(20, func() { Build(c, tc.a, 0, dests) })
+		got := testing.AllocsPerRun(20, func() { treeSink = Build(c, tc.a, 0, dests) })
 		if got > tc.want {
 			t.Errorf("Build(%v) allocates %v objects per call, ceiling %v", tc.a, got, tc.want)
 		}
@@ -39,8 +39,8 @@ func TestBuildAllocCeilings(t *testing.T) {
 
 // NewSchedule allocates its result (schedule, Unicasts, the Order-aligned
 // receive steps) and the packed sort keys plus, for the all-port model, a
-// fixed set of scratch tables, including one arc-stamp map presized to the
-// unicast count; nothing per step, and no node-keyed map.
+// fixed set of scratch tables, including one arc-stamp table sized by the
+// tree's paths; nothing per step, and no node-keyed map.
 func TestNewScheduleAllocCeilings(t *testing.T) {
 	c, dests := allocWorkload()
 	tr := Build(c, WSort, 0, dests)
@@ -49,14 +49,21 @@ func TestNewScheduleAllocCeilings(t *testing.T) {
 		want float64
 	}{
 		{OnePort, 4},
-		{AllPort, 11},
+		{AllPort, 9},
 	} {
-		got := testing.AllocsPerRun(20, func() { NewSchedule(tr, tc.pm) })
+		got := testing.AllocsPerRun(20, func() { scheduleSink = NewSchedule(tr, tc.pm) })
 		if got > tc.want {
 			t.Errorf("NewSchedule(%v) allocates %v objects per call, ceiling %v", tc.pm, got, tc.want)
 		}
 	}
 }
+
+// The sinks keep what the ceilings' calls return, so each result escapes
+// as it does for real callers and the ceilings count it.
+var (
+	treeSink     *Tree
+	scheduleSink *Schedule
+)
 
 // Build hands out payloads that alias one chain. Each must still hold
 // exactly the recipient's sub-chain — the same elements the distributed

@@ -11,9 +11,9 @@ import (
 // chain (ascending relative) order. On a one-port architecture this costs m
 // steps; on an all-port architecture the scheduler overlaps sends on
 // different channels but serializes sends sharing the first hop.
-func buildSeparate(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree {
-	t := newTree(c, SeparateAddressing, src, len(ch))
-	sends := make([]Send, 0, len(ch)-1)
+func (w *Workspace) buildSeparate(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree {
+	t := w.newTree(c, SeparateAddressing, src, len(ch))
+	sends := reuse(w.sends, len(ch)-1)
 	for i := 1; i < len(ch); i++ {
 		sends = append(sends, Send{From: src, To: t.abs(ch[i]), Payload: ch[i : i+1 : i+1]})
 	}
@@ -21,6 +21,7 @@ func buildSeparate(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree {
 	for _, s := range sends {
 		t.add(s.To, nil)
 	}
+	w.sends = sends
 	return t
 }
 
@@ -34,9 +35,11 @@ func buildSeparate(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree {
 // Holders are processed in queue order: a node that receives across
 // dimension d splits its responsibility over dimensions d-1 down to 0,
 // exactly as in a level-by-level doubling, so the tree is the same and its
-// Order is breadth first.
-func buildSFBinomial(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree {
-	t := newTree(c, SFBinomial, src, len(ch))
+// Order is breadth first. Only the tree's Order and Sends come from the
+// workspace: each holder's sends and payloads are fresh, because no paper
+// figure sweeps this baseline.
+func (w *Workspace) buildSFBinomial(c topology.Cube, src topology.NodeID, ch chain.Chain) *Tree {
+	t := w.newTree(c, SFBinomial, src, len(ch))
 	type job struct {
 		rel  topology.NodeID
 		resp chain.Chain // destinations this holder must still cover

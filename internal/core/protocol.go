@@ -150,7 +150,7 @@ func LocalSendsAt(c topology.Cube, a Algorithm, src, node topology.NodeID, paylo
 // execution a real machine performs. Deliveries are handled in queue order,
 // so the result is slot for slot the tree of Build (asserted by SameTree).
 func BuildDistributed(c topology.Cube, a Algorithm, src topology.NodeID, dests []topology.NodeID) *Tree {
-	t := newTree(c, a, src, 0)
+	t := &Tree{Cube: c, Source: src, Algorithm: a}
 	type delivery struct {
 		node    topology.NodeID
 		payload chain.Chain

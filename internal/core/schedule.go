@@ -76,10 +76,14 @@ func (s *Schedule) RecvStep(v topology.NodeID) (int, bool) {
 }
 
 // slot returns v's slot in s.Tree.Order through an index built on first
-// use.
+// use. A workspace that reuses the schedule resets slotsOnce and keeps the
+// map, which the next first use clears and refills.
 func (s *Schedule) slot(v topology.NodeID) (int, bool) {
 	s.slotsOnce.Do(func() {
-		s.slots = make(map[topology.NodeID]int32, len(s.Tree.Order))
+		if s.slots == nil {
+			s.slots = make(map[topology.NodeID]int32, len(s.Tree.Order))
+		}
+		clear(s.slots)
 		for i, u := range s.Tree.Order {
 			s.slots[u] = int32(i)
 		}
@@ -101,30 +105,15 @@ func (s *Schedule) slot(v topology.NodeID) (int, bool) {
 // would contend is deferred to a later step. Under the paper's theorems the
 // Maxport, Combine, and W-sort trees never defer; U-cube trees exhibit the
 // serialization visible in Figure 3(d).
+//
+// The schedule and its storage belong to the caller; Workspace.NewSchedule
+// makes the same schedule in reused storage.
 func NewSchedule(t *Tree, pm PortModel) *Schedule {
-	switch pm {
-	case OnePort:
-		return scheduleOnePort(t)
-	case AllPort:
-		return scheduleAllPort(t)
-	default:
-		panic(fmt.Sprintf("core: unknown port model %v", pm))
-	}
-}
-
-// newSchedule returns an empty schedule sized for t, with every slot but
-// the source's unreached (-1).
-func newSchedule(t *Tree, pm PortModel) *Schedule {
-	s := &Schedule{
-		Tree:     t,
-		Port:     pm,
-		Unicasts: make([]Unicast, 0, t.NumUnicasts()),
-		recv:     make([]int, len(t.Order)),
-	}
-	for i := 1; i < len(s.recv); i++ {
-		s.recv[i] = -1
-	}
-	return s
+	// As in Build, only the schedule header leaves the throwaway
+	// workspace.
+	var w Workspace
+	s := w.NewSchedule(t, pm)
+	return &Schedule{Tree: s.Tree, Port: s.Port, Unicasts: s.Unicasts, recv: s.recv}
 }
 
 // launch records the unicast of a send at step and the step at which its
@@ -134,8 +123,8 @@ func (s *Schedule) launch(from, to topology.NodeID, slot, step int) {
 	s.recv[slot] = step
 }
 
-func scheduleOnePort(t *Tree) *Schedule {
-	s := newSchedule(t, OnePort)
+func (w *Workspace) scheduleOnePort(t *Tree) *Schedule {
+	s := w.newSchedule(t, OnePort)
 	// Process nodes in slot order: every receiver's slot follows its
 	// sender's, so a node's receive step is known before it is processed.
 	k := 1 // slot of the next send's receiver
@@ -149,7 +138,7 @@ func scheduleOnePort(t *Tree) *Schedule {
 			k++
 		}
 	}
-	sortUnicasts(s.Unicasts)
+	w.keys = sortUnicasts(s.Unicasts, w.keys)
 	return s
 }
 
@@ -161,35 +150,39 @@ type pendingSend struct {
 	slot     int32
 }
 
-func scheduleAllPort(t *Tree) *Schedule {
-	s := newSchedule(t, AllPort)
+func (w *Workspace) scheduleAllPort(t *Tree) *Schedule {
+	s := w.newSchedule(t, AllPort)
 	dim := t.Cube.Dim()
 	// Every sender's pending sends, in issue order, as a window of one
 	// array indexed by the sender's slot; a step compacts each window in
 	// place.
-	all := make([]pendingSend, 0, cap(s.Unicasts))
-	pending := make([][]pendingSend, len(t.Order))
-	for i, sends := range t.Sends {
+	all := reuse(w.pending, t.NumUnicasts())
+	pending := reuse(w.pendingBySlot, len(t.Order))
+	span := 0 // arcs over every path: no step takes more
+	for _, sends := range t.Sends {
 		first := len(all)
 		for _, snd := range sends {
 			all = append(all, pendingSend{snd.From, snd.To, int32(t.Cube.FirstHop(snd.From, snd.To)), int32(len(all) + 1)})
+			span += bits.OnesCount(uint32(snd.From ^ snd.To))
 		}
-		pending[i] = all[first:len(all):len(all)]
+		pending = append(pending, all[first:len(all):len(all)])
 	}
+	w.pending, w.pendingBySlot = all, pending
 	remaining := len(all)
 	total := remaining
-	// claimed and usedChannel hold the step that last took an arc, or a
-	// sender's outgoing channel (indexed by the sender's slot times dim
-	// plus the channel's dimension). Stamping with the step number makes
-	// every step start with nothing claimed without clearing anything.
-	claimed := make(map[topology.Arc]int32, total)
-	usedChannel := make([]int32, len(t.Order)*dim)
-	arcs := make([]topology.Arc, 0, dim)
+	// The workspace's channel stamps hold the stamp of the step that last
+	// took a sender's outgoing channel (indexed by the sender's slot times
+	// dim plus the channel's dimension), and its arc stamps the arcs taken
+	// in the current step. Every step draws a stamp that no cell holds, so
+	// it starts with nothing taken without clearing anything.
+	usedChannel := w.channelStamps(len(t.Order) * dim)
+	w.arcs.reserve(span)
+	arcs := reuse(w.path, dim)
 	for step := 1; remaining > 0; step++ {
 		if step > 2*total+len(t.Order)+8 {
 			panic("core: all-port scheduler failed to make progress")
 		}
-		stamp := int32(step)
+		stamp := w.nextStamp()
 		// Deterministic sender order: slot order.
 		for i, sends := range pending {
 			if len(sends) == 0 {
@@ -212,7 +205,7 @@ func scheduleAllPort(t *Tree) *Schedule {
 				arcs = t.Cube.AppendPathArcs(arcs[:0], snd.from, snd.to)
 				conflict := false
 				for _, a := range arcs {
-					if claimed[a] == stamp {
+					if w.arcs.taken(a, stamp) {
 						conflict = true
 						break
 					}
@@ -222,7 +215,7 @@ func scheduleAllPort(t *Tree) *Schedule {
 					continue
 				}
 				for _, a := range arcs {
-					claimed[a] = stamp
+					w.arcs.take(a, stamp)
 				}
 				s.launch(snd.from, snd.to, int(snd.slot), step)
 				remaining--
@@ -230,22 +223,25 @@ func scheduleAllPort(t *Tree) *Schedule {
 			pending[i] = kept
 		}
 	}
-	sortUnicasts(s.Unicasts)
+	w.path = arcs
+	w.keys = sortUnicasts(s.Unicasts, w.keys)
 	return s
 }
 
 // sortUnicasts orders a schedule by (Step, From, To). Every node receives
 // at most once, so the key has no ties. Addresses fit in bits.MaxDim bits,
 // so each unicast packs into one integer key Step<<40 | From<<20 | To, and
-// the keys sort without a comparator callback.
-func sortUnicasts(us []Unicast) {
+// the keys sort without a comparator callback. The keys are built in the
+// storage of keys, which is returned for reuse.
+func sortUnicasts(us []Unicast, keys []uint64) []uint64 {
 	const w, mask = bits.MaxDim, 1<<bits.MaxDim - 1
-	keys := make([]uint64, len(us))
-	for i, u := range us {
-		keys[i] = uint64(u.Step)<<(2*w) | uint64(u.From)<<w | uint64(u.To)
+	keys = reuse(keys, len(us))
+	for _, u := range us {
+		keys = append(keys, uint64(u.Step)<<(2*w)|uint64(u.From)<<w|uint64(u.To))
 	}
 	slices.Sort(keys)
 	for i, k := range keys {
 		us[i] = Unicast{From: topology.NodeID(k >> w & mask), To: topology.NodeID(k & mask), Step: int(k >> (2 * w))}
 	}
+	return keys
 }

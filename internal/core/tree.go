@@ -105,25 +105,14 @@ type Tree struct {
 
 // Build constructs the multicast tree for algorithm a from src to dests on
 // cube c. Duplicate destinations and a destination equal to src are ignored.
+// The tree and its storage belong to the caller; Workspace.Build makes the
+// same tree in reused storage.
 func Build(c topology.Cube, a Algorithm, src topology.NodeID, dests []topology.NodeID) *Tree {
-	ch := chain.Relative(c, src, dests)
-	switch a {
-	case SeparateAddressing:
-		return buildSeparate(c, src, ch)
-	case SFBinomial:
-		return buildSFBinomial(c, src, ch)
-	case UCube:
-		return buildChainTree(c, a, src, ch, nextCenter)
-	case Maxport:
-		return buildChainTree(c, a, src, ch, nextHighdim)
-	case Combine:
-		return buildChainTree(c, a, src, ch, nextCombine)
-	case WSort:
-		ch.WeightedSort(c.Dim())
-		return buildChainTree(c, a, src, ch, nextHighdim)
-	default:
-		panic(fmt.Sprintf("core: unknown algorithm %v", a))
-	}
+	// The throwaway workspace stays on the stack: only the tree header is
+	// copied out, and its slices were allocated for this tree alone.
+	var w Workspace
+	t := *w.Build(c, a, src, dests)
+	return &t
 }
 
 // next-selection policies for the unified chain splitter (Section 4.1).
@@ -157,12 +146,11 @@ func nextCombine(ch chain.Chain, left, right int) int {
 // contiguous array and each sender's list is a capped window of it. The job
 // queue is the tree's Order: job h > 0 is the receiver of send h-1. Every
 // payload is a capped window of ch itself: the tree owns ch from here on.
-func buildChainTree(c topology.Cube, a Algorithm, src topology.NodeID, ch chain.Chain, policy func(chain.Chain, int, int) int) *Tree {
-	t := newTree(c, a, src, len(ch))
-	sends := make([]Send, 0, len(ch)-1)
-	type job struct{ left, right int }
-	queue := make([]job, 1, len(ch))
-	queue[0] = job{0, len(ch) - 1}
+func (w *Workspace) buildChainTree(c topology.Cube, a Algorithm, src topology.NodeID, ch chain.Chain, policy func(chain.Chain, int, int) int) *Tree {
+	t := w.newTree(c, a, src, len(ch))
+	// Presized to the m sends, so the array never moves under the windows.
+	sends := reuse(w.sends, len(ch)-1)
+	queue := append(reuse(w.queue, len(ch)), splitJob{0, len(ch) - 1})
 	for head := 0; head < len(queue); head++ {
 		left, right := queue[head].left, queue[head].right
 		from := t.abs(ch[left])
@@ -173,13 +161,18 @@ func buildChainTree(c topology.Cube, a Algorithm, src topology.NodeID, ch chain.
 				panic(fmt.Sprintf("core: policy returned %d outside (%d,%d]", next, left, right))
 			}
 			sends = append(sends, Send{From: from, To: t.abs(ch[next]), Payload: ch[next : right+1 : right+1]})
-			queue = append(queue, job{next, right})
+			queue = append(queue, splitJob{next, right})
 			right = next - 1
 		}
 		t.add(from, window(sends, first))
 	}
+	w.sends, w.queue = sends, queue
 	return t
 }
+
+// splitJob is a chain splitter's pending node: the responsibility range
+// [left, right] of ch[left].
+type splitJob struct{ left, right int }
 
 // window returns sends[first:] capped at its length, or nil when empty.
 func window(sends []Send, first int) []Send {
@@ -188,17 +181,6 @@ func window(sends []Send, first int) []Send {
 		return nil
 	}
 	return sends[first:n:n]
-}
-
-// newTree returns an empty tree with room for size slots.
-func newTree(c topology.Cube, a Algorithm, src topology.NodeID, size int) *Tree {
-	return &Tree{
-		Cube:      c,
-		Source:    src,
-		Algorithm: a,
-		Order:     make([]topology.NodeID, 0, size),
-		Sends:     make([][]Send, 0, size),
-	}
 }
 
 // add appends the next slot: node v and its sends.

@@ -307,9 +307,7 @@ func RunInstrumented(p Params, tr *core.Tree, bytes int, ins Instrumentation) Re
 // bound untrusted requests instead of trusting them to terminate.
 func RunInstrumentedBudget(p Params, tr *core.Tree, bytes int, ins Instrumentation, maxSteps int, maxTime event.Time) (Result, error) {
 	s := NewSession(p, tr.Cube, ins)
-	ins.Metrics.Counter("mcast_runs").Inc()
-	res := s.start(tr, bytes)
-	err := s.Run(maxSteps, maxTime)
+	res, err := s.runOne(tr, bytes, maxSteps, maxTime)
 	out := *res
 	s.Release()
 	return out, err

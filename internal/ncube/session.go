@@ -26,7 +26,8 @@ import (
 // treeOp and its node table are recycled into later trees of the same
 // session — an injected op with a done hook as soon as it goes quiet, so a
 // long scenario holds state only for the ops in flight, the rest at
-// Release.
+// Release. A sweep worker instead keeps one session of its own
+// (NewOwnedSession) and runs tree after tree on it with RunTree.
 type Session struct {
 	q      event.Queue
 	net    *wormhole.Network
@@ -48,6 +49,9 @@ type Session struct {
 	// ones, and injected ones without a done hook); Release scrubs them
 	// onto free, where later trees pick them up.
 	ops, free []*treeOp
+	// owned marks a session from NewOwnedSession: never pooled, and its
+	// recycled ops keep their Recv maps for the next run.
+	owned bool
 }
 
 var sessionPool = sync.Pool{New: func() any { return new(Session) }}
@@ -57,6 +61,49 @@ var sessionPool = sync.Pool{New: func() any { return new(Session) }}
 func NewSession(p Params, cube topology.Cube, ins Instrumentation) *Session {
 	p.Validate()
 	s := sessionPool.Get().(*Session)
+	s.bind(p, cube, ins)
+	return s
+}
+
+// NewOwnedSession makes a session outside the pool for one goroutine to
+// keep: a sweep worker runs its instances one by one through RunTree, and
+// the calendar, the network, the tree execution and its result's Recv map
+// are reused by every run, whatever the garbage collector does in
+// between. An owned session is never Released.
+func NewOwnedSession(p Params, ins Instrumentation) *Session {
+	p.Validate()
+	return &Session{p: p, ins: ins, owned: true}
+}
+
+// RunTree executes tr alone from t=0 on an owned session, as Run does on
+// a pooled one, and returns its result. The session reuses the result,
+// its Recv map included: it is valid only until the next RunTree.
+func (s *Session) RunTree(tr *core.Tree, bytes int) *Result {
+	if !s.owned {
+		panic("ncube: RunTree needs a session from NewOwnedSession")
+	}
+	s.recycleOps()
+	s.bind(s.p, tr.Cube, s.ins)
+	res, err := s.runOne(tr, bytes, 0, 0)
+	if err != nil {
+		// Default budgets on a fault-free tree: only a simulator bug
+		// can trip the watchdog.
+		panic(err)
+	}
+	return res
+}
+
+// runOne executes tr alone from the session's current instant under the
+// given watchdog budgets.
+func (s *Session) runOne(tr *core.Tree, bytes int, maxSteps int, maxTime event.Time) (*Result, error) {
+	s.ins.Metrics.Counter("mcast_runs").Inc()
+	res := s.start(tr, bytes)
+	return res, s.Run(maxSteps, maxTime)
+}
+
+// bind resets the calendar and rebinds the network to one scenario's
+// machine, cube and instrumentation.
+func (s *Session) bind(p Params, cube topology.Cube, ins Instrumentation) {
 	cfg := p.NetConfig()
 	s.q.Reset()
 	if s.net == nil {
@@ -68,7 +115,6 @@ func NewSession(p Params, cube topology.Cube, ins Instrumentation) *Session {
 	s.p, s.ins = p, ins
 	s.faulted, s.extraDiag = false, nil // net.Reset detached the fault model
 	ins.instrument(&s.q, s.net)
-	return s
 }
 
 // Queue exposes the shared event calendar.
@@ -138,17 +184,26 @@ func (s *Session) Run(maxSteps int, maxTime event.Time) error {
 // by its watchdog) are dropped with the calendar. Callers skip Release when the run
 // panicked — a half-torn-down session must not be reused.
 func (s *Session) Release() {
+	if s.owned {
+		panic("ncube: Release of an owned session")
+	}
 	s.q.Reset()
 	s.ins = Instrumentation{}
 	s.net.SetFaults(nil)
 	s.faulted = false
 	s.extraDiag = nil
+	s.recycleOps()
+	sessionPool.Put(s)
+}
+
+// recycleOps scrubs the ops whose results the caller read onto the free
+// list.
+func (s *Session) recycleOps() {
 	for _, op := range s.ops {
 		op.recycle()
 	}
 	clear(s.ops)
 	s.ops = s.ops[:0]
-	sessionPool.Put(s)
 }
 
 // treeOp is one multicast tree executing inside a Session: the machine's
@@ -214,11 +269,11 @@ func (s *Session) newOp(tr *core.Tree, bytes int, done func(*Result)) *treeOp {
 	expected := tr.NumUnicasts()
 	op.src, op.bytes, op.start = tr.Source, bytes, 0
 	op.expected, op.pending, op.done = expected, 0, done
-	op.res = Result{
-		Algorithm: tr.Algorithm,
-		Bytes:     bytes,
-		Recv:      make(map[topology.NodeID]event.Time, expected),
+	recv := op.res.Recv // kept, emptied, by an owned session's recycle
+	if recv == nil {
+		recv = make(map[topology.NodeID]event.Time, expected)
 	}
+	op.res = Result{Algorithm: tr.Algorithm, Bytes: bytes, Recv: recv}
 	op.nodes.init(op, tr.Cube.Nodes(), len(tr.Order))
 	for i, v := range tr.Order {
 		op.nodes.state(op, v).sends = tr.Sends[i]
@@ -229,10 +284,18 @@ func (s *Session) newOp(tr *core.Tree, bytes int, done func(*Result)) *treeOp {
 	return op
 }
 
-// recycle scrubs the op onto its session's free list.
+// recycle scrubs the op onto its session's free list. The Recv map went
+// to the caller with the result, except on an owned session, whose
+// results are valid only until its next run: there the op keeps the map,
+// emptied, for the next tree.
 func (op *treeOp) recycle() {
 	op.nodes.release()
+	recv := op.res.Recv
 	op.res, op.done = Result{}, nil
+	if op.s.owned {
+		clear(recv)
+		op.res.Recv = recv
+	}
 	op.s.free = append(op.s.free, op)
 }
 

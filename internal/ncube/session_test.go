@@ -174,3 +174,50 @@ func mustAlg(t *testing.T, name string) core.Algorithm {
 	}
 	return a
 }
+
+// TestOwnedSessionRunTreeMatchesRun: an owned session running tree after
+// tree — across algorithms, port models, cube sizes and message lengths,
+// a broadcast followed by small multicasts — reproduces Run's result each
+// time, so nothing of one run (a Recv entry, a node's sends, a held
+// channel) leaks into the next.
+func TestOwnedSessionRunTreeMatchesRun(t *testing.T) {
+	for _, port := range []core.PortModel{core.OnePort, core.AllPort} {
+		p := NCube2(port)
+		s := NewOwnedSession(p, Instrumentation{})
+		for _, dim := range []int{6, 3, 5} {
+			cube := topology.New(dim, topology.HighToLow)
+			for _, alg := range core.Algorithms() {
+				for _, dests := range [][]topology.NodeID{allNodesBut(cube, 0), {1, 2}, {5, 6, 7}} {
+					tr := core.Build(cube, alg, 0, dests)
+					want := Run(p, tr, 512*dim)
+					got := s.RunTree(tr, 512*dim)
+					if !reflect.DeepEqual(*got, want) {
+						t.Fatalf("%v/%v on a %d-cube to %d nodes: owned run\n%+v\nwant\n%+v", port, alg, dim, len(dests), *got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// An owned session never goes to the pool, and a pooled one cannot run
+// trees whose results it would reuse.
+func TestOwnedSessionOwnership(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	cube := topology.New(3, topology.HighToLow)
+	tr := core.Build(cube, core.WSort, 0, []topology.NodeID{1, 2, 7})
+	mustPanic("Release of an owned session", func() {
+		NewOwnedSession(NCube2(core.AllPort), Instrumentation{}).Release()
+	})
+	pooled := NewSession(NCube2(core.AllPort), cube, Instrumentation{})
+	mustPanic("RunTree on a pooled session", func() { pooled.RunTree(tr, 64) })
+	pooled.Release()
+}

@@ -14,18 +14,19 @@ import (
 	"hypercube/internal/topology"
 )
 
-// forEachPoint evaluates work(i) for every point index concurrently on up
-// to workers goroutines (0 means GOMAXPROCS). Each point's computation is
-// self-contained and seeded independently, so the results are identical to
-// a serial run — parallelism only shortens the wall clock, in keeping with
-// the experiments' determinism guarantees.
+// forEachPoint evaluates work(w, i) for every point index concurrently on
+// up to workers goroutines (0 means GOMAXPROCS). Each point's computation
+// is self-contained and seeded independently, so the results are identical
+// to a serial run — parallelism only shortens the wall clock, in keeping
+// with the experiments' determinism guarantees. Each goroutine hands all
+// of its points the same worker w, which no other goroutine sees.
 //
 // A panic inside work is recovered in the worker goroutine, annotated with
 // the failing point index, and re-raised exactly once from forEachPoint's
 // caller — a bare goroutine panic would kill the process without saying
 // which sweep point's configuration failed. When a point has panicked,
 // not-yet-started points are skipped; in-flight points run to completion.
-func forEachPoint(points, workers int, work func(i int)) {
+func forEachPoint(points, workers int, work func(w *worker, i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -36,7 +37,7 @@ func forEachPoint(points, workers int, work func(i int)) {
 		failedMu sync.Mutex
 		failed   *pointPanic
 	)
-	run := func(i int) {
+	run := func(w *worker, i int) {
 		defer func() {
 			if v := recover(); v != nil {
 				failedMu.Lock()
@@ -46,7 +47,7 @@ func forEachPoint(points, workers int, work func(i int)) {
 				failedMu.Unlock()
 			}
 		}()
-		work(i)
+		work(w, i)
 	}
 	aborted := func() bool {
 		failedMu.Lock()
@@ -54,8 +55,9 @@ func forEachPoint(points, workers int, work func(i int)) {
 		return failed != nil
 	}
 	if workers <= 1 {
+		w := new(worker)
 		for i := 0; i < points && !aborted(); i++ {
-			run(i)
+			run(w, i)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -64,9 +66,10 @@ func forEachPoint(points, workers int, work func(i int)) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				w := new(worker)
 				for i := range next {
 					if !aborted() {
-						run(i)
+						run(w, i)
 					}
 				}
 			}()
@@ -88,7 +91,48 @@ func forEachPoint(points, workers int, work func(i int)) {
 // identical: results match a serial run, and a point panic is annotated
 // with its index and re-raised once from the caller.
 func ForEachPoint(points, workers int, work func(i int)) {
-	forEachPoint(points, workers, work)
+	forEachPoint(points, workers, func(_ *worker, i int) { work(i) })
+}
+
+// worker is one sweep goroutine's own multicast storage: the generator
+// and destination buffer its points draw into, the workspace they build
+// and schedule in and, for the delay sweeps, the session they run on. All
+// of it lives for the whole sweep and is reused by every instance, so a
+// warmed worker allocates nothing per instance.
+type worker struct {
+	gen     *Generator
+	dests   []topology.NodeID
+	ws      core.Workspace
+	session *ncube.Session
+}
+
+// generator returns the worker's generator restarted for cube at seed.
+func (w *worker) generator(cube topology.Cube, seed int64) *Generator {
+	if w.gen == nil {
+		w.gen = NewGenerator(cube, seed)
+	} else {
+		w.gen.reseed(cube, seed)
+	}
+	return w.gen
+}
+
+// draw draws one instance, as gen.Source and then gen.Dests do, into the
+// worker's destination buffer. The destinations are valid until the next
+// draw.
+func (w *worker) draw(gen *Generator, m int) (topology.NodeID, []topology.NodeID) {
+	src := gen.Source()
+	w.dests = gen.appendDests(w.dests[:0], src, m)
+	return src, w.dests
+}
+
+// run executes tr alone on the worker's own session, made on first use
+// for the sweep's machine and instrumentation. The result is valid until
+// the worker's next run.
+func (w *worker) run(p ncube.Params, ins ncube.Instrumentation, tr *core.Tree, bytes int) *ncube.Result {
+	if w.session == nil {
+		w.session = ncube.NewOwnedSession(p, ins)
+	}
+	return w.session.RunTree(tr, bytes)
 }
 
 // pointPanic wraps a panic recovered from one sweep point's worker with
@@ -111,6 +155,16 @@ func (p *pointPanic) Unwrap() error {
 		return err
 	}
 	return nil
+}
+
+// newSamples returns one empty sample per algorithm, each with room for
+// every trial.
+func newSamples(algorithms, trials int) [][]float64 {
+	samples := make([][]float64, algorithms)
+	for i := range samples {
+		samples[i] = make([]float64, 0, trials)
+	}
+	return samples
 }
 
 // StepStat selects the per-set statistic of a stepwise experiment.
@@ -180,16 +234,15 @@ func Stepwise(cfg StepwiseConfig) *stats.Table {
 	mSchedules := cfg.Metrics.Counter("workload_schedules")
 	mSteps := cfg.Metrics.Histogram("workload_steps")
 	rows := make([][]float64, len(cfg.DestCounts))
-	forEachPoint(len(cfg.DestCounts), cfg.Workers, func(pi int) {
+	forEachPoint(len(cfg.DestCounts), cfg.Workers, func(w *worker, pi int) {
 		m := cfg.DestCounts[pi]
-		gen := NewGenerator(cube, cfg.Seed+int64(m))
-		samples := make([][]float64, len(cfg.Algorithms))
+		gen := w.generator(cube, cfg.Seed+int64(m))
+		samples := newSamples(len(cfg.Algorithms), cfg.Trials)
 		for trial := 0; trial < cfg.Trials; trial++ {
-			src := gen.Source()
-			dests := gen.Dests(src, m)
+			src, dests := w.draw(gen, m)
 			mTrials.Inc()
 			for i, a := range cfg.Algorithms {
-				s := core.NewSchedule(core.Build(cube, a, src, dests), cfg.Port)
+				s := w.ws.NewSchedule(w.ws.Build(cube, a, src, dests), cfg.Port)
 				mSchedules.Inc()
 				mSteps.Observe(int64(s.Steps()))
 				v := float64(s.Steps())
@@ -312,7 +365,7 @@ func (c *SizeSweepConfig) setDefaults() {
 // SizeSweep measures delays as a function of message length at a fixed
 // destination count, reported in microseconds. The destination sets (and
 // hence the trees) are identical across sizes, isolating the pipelining
-// term.
+// term; each size rebuilds them in its worker's workspace.
 func SizeSweep(cfg SizeSweepConfig) *stats.Table {
 	cfg.setDefaults()
 	cube := topology.New(cfg.Dim, topology.HighToLow)
@@ -335,25 +388,18 @@ func SizeSweep(cfg SizeSweepConfig) *stats.Table {
 		src := gen.Source()
 		insts[i] = instance{src: src, dests: gen.Dests(src, cfg.Dests)}
 	}
-	trees := make(map[core.Algorithm][]*core.Tree, len(cfg.Algorithms))
-	for _, a := range cfg.Algorithms {
-		ts := make([]*core.Tree, cfg.Trials)
-		for i, in := range insts {
-			ts[i] = core.Build(cube, a, in.src, in.dests)
-		}
-		trees[a] = ts
-	}
 	ins := ncube.Instrumentation{Metrics: cfg.Metrics}
 	mDelay := cfg.Metrics.Histogram("workload_delay_us")
 	rows := make([][]float64, len(cfg.Sizes))
-	forEachPoint(len(cfg.Sizes), cfg.Workers, func(pi int) {
+	forEachPoint(len(cfg.Sizes), cfg.Workers, func(w *worker, pi int) {
 		size := cfg.Sizes[pi]
 		cells := make([]float64, len(cfg.Algorithms))
+		xs := make([]float64, 0, len(insts))
 		for i, a := range cfg.Algorithms {
-			var xs []float64
-			for j, tr := range trees[a] {
-				r := ncube.RunInstrumented(cfg.Params, tr, size, ins)
-				avg, max := r.Stats(insts[j].dests)
+			xs = xs[:0]
+			for _, in := range insts {
+				r := w.run(cfg.Params, ins, w.ws.Build(cube, a, in.src, in.dests), size)
+				avg, max := r.Stats(in.dests)
 				v := avg
 				if cfg.Stat == MaxDelay {
 					v = max
@@ -390,10 +436,10 @@ func Delay(cfg DelayConfig) *stats.Table {
 	mTrials := cfg.Metrics.Counter("workload_trials")
 	mDelay := cfg.Metrics.Histogram("workload_delay_us")
 	rows := make([][]float64, len(cfg.DestCounts))
-	forEachPoint(len(cfg.DestCounts), cfg.Workers, func(pi int) {
+	forEachPoint(len(cfg.DestCounts), cfg.Workers, func(w *worker, pi int) {
 		m := cfg.DestCounts[pi]
-		gen := NewGenerator(cube, cfg.Seed+int64(m))
-		samples := make([][]float64, len(cfg.Algorithms))
+		gen := w.generator(cube, cfg.Seed+int64(m))
+		samples := newSamples(len(cfg.Algorithms), cfg.Trials)
 		observe := func(i int, r ncube.Result, dests []topology.NodeID) {
 			avg, max := r.Stats(dests)
 			v := avg
@@ -430,11 +476,10 @@ func Delay(cfg DelayConfig) *stats.Table {
 			}
 		} else {
 			for trial := 0; trial < cfg.Trials; trial++ {
-				src := gen.Source()
-				dests := gen.Dests(src, m)
+				src, dests := w.draw(gen, m)
 				mTrials.Inc()
 				for i, a := range cfg.Algorithms {
-					observe(i, ncube.RunInstrumented(cfg.Params, core.Build(cube, a, src, dests), cfg.Bytes, ins), dests)
+					observe(i, *w.run(cfg.Params, ins, w.ws.Build(cube, a, src, dests), cfg.Bytes), dests)
 				}
 			}
 		}

@@ -19,7 +19,7 @@ func recoverPoint(t *testing.T, points, workers int, work func(i int)) (pp *poin
 			}
 		}
 	}()
-	forEachPoint(points, workers, work)
+	forEachPoint(points, workers, func(_ *worker, i int) { work(i) })
 	return nil
 }
 

@@ -16,6 +16,7 @@ import (
 type Generator struct {
 	cube topology.Cube
 	rng  *rand.Rand
+	pool []topology.NodeID // Dests' scratch, rebuilt by every draw
 }
 
 // NewGenerator creates a generator for cube seeded deterministically.
@@ -27,24 +28,40 @@ func NewGenerator(cube topology.Cube, seed int64) *Generator {
 // src — the paper's "destination sets chosen randomly". It panics if m
 // exceeds N-1.
 func (g *Generator) Dests(src topology.NodeID, m int) []topology.NodeID {
+	return g.appendDests(make([]topology.NodeID, 0, max(m, 0)), src, m)
+}
+
+// appendDests is Dests appending the draw to dst, so a caller that passes
+// its previous draw truncated to length 0 reuses that draw's storage.
+func (g *Generator) appendDests(dst []topology.NodeID, src topology.NodeID, m int) []topology.NodeID {
 	n := g.cube.Nodes()
 	if m < 0 || m > n-1 {
 		panic(fmt.Sprintf("workload: cannot draw %d destinations from a %d-node cube", m, n))
 	}
 	// Partial Fisher-Yates over the node space minus src.
-	pool := make([]topology.NodeID, 0, n-1)
+	pool := g.pool[:0]
+	if cap(pool) < n-1 {
+		pool = make([]topology.NodeID, 0, n-1)
+	}
 	for v := 0; v < n; v++ {
 		if topology.NodeID(v) != src {
 			pool = append(pool, topology.NodeID(v))
 		}
 	}
-	out := make([]topology.NodeID, m)
+	g.pool = pool
 	for i := 0; i < m; i++ {
 		j := i + g.rng.Intn(len(pool)-i)
 		pool[i], pool[j] = pool[j], pool[i]
-		out[i] = pool[i]
+		dst = append(dst, pool[i])
 	}
-	return out
+	return dst
+}
+
+// reseed rebinds g to cube and restarts it at seed: it then draws exactly
+// what NewGenerator(cube, seed) draws, in the storage it already has.
+func (g *Generator) reseed(cube topology.Cube, seed int64) {
+	g.cube = cube
+	g.rng.Seed(seed)
 }
 
 // Source draws a uniformly random source node.
