@@ -41,12 +41,16 @@ type Result struct {
 // drives the queue. OnDone, if non-nil, fires on the calendar at the
 // instant the last node finishes, with Finish times in ABSOLUTE simulated
 // time (the standalone entry points, which launch at t=0, are the
-// degenerate case where absolute and relative coincide).
+// degenerate case where absolute and relative coincide). Pool, if non-nil,
+// supplies the payload blocks and message records of data-carrying
+// schedules, so operations sharing the calendar can share one; nil gives
+// the operation a pool of its own.
 type Substrate struct {
 	Queue  *event.Queue
 	Net    *wormhole.Network
 	Params ncube.Params
 	OnDone func(Result)
+	Pool   *Pool
 }
 
 // engine bundles the shared simulation state of the collective schedules.
@@ -57,32 +61,43 @@ type engine struct {
 	res       *Result
 	remaining int // nodes that have not finished yet
 	onDone    func(Result)
+	// pool holds the data schedules' payload blocks and message records:
+	// the substrate's shared one, or else ownPool.
+	pool    *Pool
+	ownPool Pool
 	// session is the pooled calendar and network of a standalone run,
 	// released by finish; nil on a caller's Substrate.
 	session *ncube.Session
 }
 
-func newEngine(p ncube.Params, cube topology.Cube) *engine {
+// newEngine makes a standalone engine on a pooled session for cube, on
+// which members nodes take part (every node, except in ReduceTree).
+func newEngine(p ncube.Params, cube topology.Cube, members int) *engine {
 	s := ncube.NewSession(p, cube, ncube.Instrumentation{})
-	e := newEngineWith(s.Queue(), s.Network(), p, cube, nil)
+	e := newEngineWith(s.Queue(), s.Network(), p, members, nil, nil)
 	e.session = s
 	return e
 }
 
 func newEngineOn(sub Substrate) *engine {
 	sub.Params.Validate()
-	return newEngineWith(sub.Queue, sub.Net, sub.Params, sub.Net.Cube(), sub.OnDone)
+	return newEngineWith(sub.Queue, sub.Net, sub.Params, sub.Net.Cube().Nodes(), sub.OnDone, sub.Pool)
 }
 
-func newEngineWith(q *event.Queue, net *wormhole.Network, p ncube.Params, cube topology.Cube, onDone func(Result)) *engine {
-	return &engine{
+func newEngineWith(q *event.Queue, net *wormhole.Network, p ncube.Params, members int, onDone func(Result), pool *Pool) *engine {
+	e := &engine{
 		q:         q,
 		net:       net,
 		p:         p,
-		res:       &Result{Finish: make(map[topology.NodeID]event.Time)},
-		remaining: cube.Nodes(),
+		res:       &Result{Finish: make(map[topology.NodeID]event.Time, members)},
+		remaining: members,
 		onDone:    onDone,
+		pool:      pool,
 	}
+	if e.pool == nil {
+		e.pool = &e.ownPool
+	}
+	return e
 }
 
 // finished records node v completing its role at time t, maintains the
@@ -114,11 +129,6 @@ type sendSpec struct {
 	bytes int
 	// tag identifies the message to the receiver's handler.
 	tag int
-	// data is the payload the message carries, when the schedule moves
-	// real data (see payload.go). It rides alongside the byte count —
-	// the wormhole model only ever sees bytes — so attaching a payload
-	// cannot perturb the event schedule of a timing-only execution.
-	data []float64
 }
 
 // sendSeq issues node's sends serially (TStartup each), respecting the
@@ -198,7 +208,7 @@ func Scatter(p ncube.Params, cube topology.Cube, root topology.NodeID, blockByte
 	if blockBytes < 0 {
 		panic("collective: negative block size")
 	}
-	e := newEngine(p, cube)
+	e := newEngine(p, cube, cube.Nodes())
 	scatterOn(e, cube, root, blockBytes)
 	return e.finish()
 }
@@ -278,7 +288,7 @@ func Reduce(p ncube.Params, cube topology.Cube, root topology.NodeID, bytes int,
 // gatherLike runs the ascending binomial convergecast. sizeOf maps the
 // sender's accumulated subtree size (number of nodes) to message bytes.
 func gatherLike(p ncube.Params, cube topology.Cube, root topology.NodeID, sizeOf func(sub int) int, tCompute event.Time) Result {
-	e := newEngine(p, cube)
+	e := newEngine(p, cube, cube.Nodes())
 	gatherLikeOn(e, cube, root, sizeOf, tCompute)
 	return e.finish()
 }
@@ -332,7 +342,7 @@ func exchangeRounds(p ncube.Params, cube topology.Cube, bytesOf func(round int) 
 }
 
 func exchangeRoundsCompute(p ncube.Params, cube topology.Cube, bytesOf func(round int) int, tCompute event.Time) Result {
-	e := newEngine(p, cube)
+	e := newEngine(p, cube, cube.Nodes())
 	exchangeRoundsOn(e, cube, bytesOf, tCompute)
 	return e.finish()
 }

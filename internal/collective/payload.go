@@ -1,13 +1,15 @@
 // Data-carrying reduction collectives: the schedules here move real
 // per-node vectors through the simulated network, not just byte counts.
-// Payloads ride in the data field of sendSpec — the wormhole model only
-// ever sees message sizes — so a data-carrying execution produces exactly
-// the event schedule its timing-only counterpart would, while the final
-// per-node vectors expose any block delivered to the wrong node at the
-// wrong round. Every standalone entry point verifies its result against
-// the closed-form expectation (Expected*) element by element before
-// returning; substrate launches leave verification to the caller, who
-// holds the inputs.
+// Payloads ride in pooled message records (pool.go) beside their byte
+// counts — the wormhole model only ever sees message sizes — so a
+// data-carrying execution produces exactly the event schedule its
+// timing-only counterpart would, while the final per-node vectors expose
+// any block delivered to the wrong node at the wrong round. Every
+// standalone entry point verifies its result against the closed-form
+// expectation (Expected*) element by element before returning, and
+// leaves its input untouched; substrate launches take ownership of their
+// input, reduce it in place and leave verification to the caller, who
+// computes the expectation before the launch.
 //
 // Arithmetic note: verification demands exact float64 equality, which
 // holds regardless of combine order whenever the inputs are integer-valued
@@ -21,7 +23,6 @@ import (
 	"hypercube/internal/event"
 	"hypercube/internal/ncube"
 	"hypercube/internal/topology"
-	"hypercube/internal/wormhole"
 )
 
 // ElemBytes is the wire size charged per payload vector element.
@@ -41,16 +42,17 @@ type DataResult struct {
 // seed: nodes vectors of elems elements each, values in [-512, 512). With
 // integer values, float64 sums are exact independent of association order
 // until 2^53 — so a verified result never depends on the schedule's
-// combine order.
+// combine order. The vectors share one backing array, each capped at its
+// own length.
 func RandomData(seed int64, nodes, elems int) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
+	flat := make([]float64, nodes*elems)
+	for i := range flat {
+		flat[i] = float64(rng.Intn(1024) - 512)
+	}
 	out := make([][]float64, nodes)
 	for v := range out {
-		vec := make([]float64, elems)
-		for i := range vec {
-			vec[i] = float64(rng.Intn(1024) - 512)
-		}
-		out[v] = vec
+		out[v] = flat[v*elems : (v+1)*elems : (v+1)*elems]
 	}
 	return out
 }
@@ -96,10 +98,15 @@ func uniformLen(cube topology.Cube, in [][]float64) int {
 	return l
 }
 
+// copyVecs copies equal-length vectors into one backing array, each copy
+// capped at its own length.
 func copyVecs(in [][]float64) [][]float64 {
+	l := len(in[0])
+	flat := make([]float64, 0, len(in)*l)
 	out := make([][]float64, len(in))
 	for v := range in {
-		out[v] = append([]float64(nil), in[v]...)
+		flat = append(flat, in[v]...)
+		out[v] = flat[v*l : (v+1)*l : (v+1)*l]
 	}
 	return out
 }
@@ -116,24 +123,26 @@ func columnSum(in [][]float64) []float64 {
 }
 
 // ExpectedAllReduce returns the analytic allreduce expectation: every node
-// ends with the elementwise sum of all inputs.
+// ends with the elementwise sum of all inputs. The rows all alias one sum
+// vector.
 func ExpectedAllReduce(in [][]float64) [][]float64 {
 	sum := columnSum(in)
 	out := make([][]float64, len(in))
 	for v := range out {
-		out[v] = append([]float64(nil), sum...)
+		out[v] = sum
 	}
 	return out
 }
 
 // ExpectedReduceScatter returns the analytic reduce-scatter expectation:
-// node v ends with block v of the elementwise sum.
+// node v ends with block v of the elementwise sum. The rows are views of
+// one sum vector.
 func ExpectedReduceScatter(in [][]float64) [][]float64 {
 	sum := columnSum(in)
 	b := len(sum) / len(in)
 	out := make([][]float64, len(in))
 	for v := range out {
-		out[v] = append([]float64(nil), sum[v*b:(v+1)*b]...)
+		out[v] = sum[v*b : (v+1)*b : (v+1)*b]
 	}
 	return out
 }
@@ -191,57 +200,83 @@ func attachData(e *engine, capture func() [][]float64) *DataResult {
 	return dr
 }
 
-// dataExchangeOn runs a payload-carrying pairwise-exchange schedule: in
-// round k every node sends outbound(v, k) to its neighbor across dimension
-// dimOf(k) and enters round k+1 only after both issuing its round-k send
-// and absorbing its partner's round-k payload (TRecv + tCompute after the
-// tail arrives). Out-of-order receipts are buffered and absorbed in round
-// order, exactly mirroring exchangeRoundsOn's advancement — absorbing is
-// pure data movement, so the event schedule matches a timing-only
-// exchange with the same per-round byte counts.
-func dataExchangeOn(e *engine, cube topology.Cube, rounds int, dimOf func(k int) int,
-	outbound func(v topology.NodeID, k int) []float64,
-	absorb func(v topology.NodeID, k int, data []float64),
-	tCompute event.Time) {
+// runData runs a data schedule standalone: launch gets a private engine
+// and a copy of in (the schedules reduce in place), and the result is
+// verified against want, which the caller computed from in before the
+// launch. The caller's vectors are never touched.
+func runData(p ncube.Params, cube topology.Cube, in, want [][]float64,
+	launch func(e *engine, work [][]float64) *DataResult) (DataResult, error) {
+	e := newEngine(p, cube, cube.Nodes())
+	dr := launch(e, copyVecs(in))
+	e.finish()
+	return *dr, VerifyData(dr.Data, want)
+}
+
+// exchangeSched is a pairwise-exchange data schedule: in round k every
+// node ships outbound(v, k) to its neighbor across dimension dim(k), then
+// absorbs its partner's round-k payload.
+type exchangeSched interface {
+	dim(k int) int
+	outbound(v topology.NodeID, k int) []float64
+	absorb(v topology.NodeID, k int, data []float64)
+}
+
+// exchange runs an exchangeSched: every node enters round k+1 only after
+// both issuing its round-k send and absorbing its partner's round-k
+// payload (TRecv + tCompute after the tail arrives). Out-of-order receipts
+// are buffered and absorbed in round order, exactly mirroring
+// exchangeRoundsOn's advancement — absorbing is pure data movement, so the
+// event schedule matches a timing-only exchange with the same per-round
+// byte counts.
+type exchange struct {
+	e        *engine
+	cube     topology.Cube
+	s        exchangeSched
+	rounds   int
+	tCompute event.Time
+	buf      [][]float64 // buf[v*rounds+k]: node v's round-k receipt until absorbed
+	round    []int       // per node, the next round not yet started
+}
+
+func dataExchangeOn(e *engine, cube topology.Cube, rounds int, s exchangeSched, tCompute event.Time) {
 	nodes := cube.Nodes()
-	buf := make([][][]float64, nodes)
-	got := make([][]bool, nodes)
-	for v := range buf {
-		buf[v] = make([][]float64, rounds)
-		got[v] = make([]bool, rounds)
-	}
-	round := make([]int, nodes) // next round not yet started
-	var start func(v topology.NodeID)
-	advance := func(v topology.NodeID) {
-		for round[v] < rounds && got[v][round[v]] {
-			k := round[v]
-			absorb(v, k, buf[v][k])
-			buf[v][k] = nil
-			round[v]++
-			if round[v] == rounds {
-				e.finished(v, e.q.Now())
-				return
-			}
-			start(v)
-		}
-	}
-	start = func(v topology.NodeID) {
-		k := round[v]
-		payload := outbound(v, k)
-		partner := cube.Neighbor(v, dimOf(k))
-		spec := sendSpec{to: partner, bytes: len(payload) * ElemBytes, tag: k, data: payload}
-		e.sendSeq(v, []sendSpec{spec}, func(s sendSpec, d wormhole.Delivery) {
-			e.q.After(e.p.TRecv+tCompute, func() {
-				got[d.To][s.tag] = true
-				buf[d.To][s.tag] = s.data
-				if s.tag == round[d.To] {
-					advance(d.To)
-				}
-			})
-		})
+	x := &exchange{
+		e: e, cube: cube, s: s, rounds: rounds, tCompute: tCompute,
+		buf:   make([][]float64, nodes*rounds),
+		round: make([]int, nodes),
 	}
 	for v := 0; v < nodes; v++ {
-		start(topology.NodeID(v))
+		x.start(topology.NodeID(v))
+	}
+}
+
+func (x *exchange) start(v topology.NodeID) {
+	k := x.round[v]
+	x.e.sendData(x, v, x.cube.Neighbor(v, x.s.dim(k)), k, x.s.outbound(v, k), x.tCompute, false)
+}
+
+func (x *exchange) receive(to topology.NodeID, k int, data []float64) {
+	x.buf[int(to)*x.rounds+k] = data
+	if k == x.round[to] {
+		x.advance(to)
+	}
+}
+
+func (x *exchange) advance(v topology.NodeID) {
+	for {
+		k := x.round[v]
+		i := int(v)*x.rounds + k
+		if x.buf[i] == nil {
+			return
+		}
+		x.s.absorb(v, k, x.buf[i])
+		x.buf[i] = nil
+		x.round[v]++
+		if x.round[v] == x.rounds {
+			x.e.finished(v, x.e.q.Now())
+			return
+		}
+		x.start(v)
 	}
 }
 
@@ -253,84 +288,99 @@ func ownedRange(v topology.NodeID, d int) (lo, hi int) {
 	return lo, lo + 1<<uint(d)
 }
 
+// halvingDoubling is the exchangeSched of halvingDoublingOn. In halving
+// round k < n the exchange crosses dimension n-1-k: each node ships its
+// partner's half of its active block range and folds the received half
+// into its own; after n rounds node v holds block v of the total. The
+// doubling rounds k >= n cross dimensions 0..n-1, copying the
+// fully-reduced ranges back out until every node holds the whole sum.
+type halvingDoubling struct {
+	cube topology.Cube
+	pool *Pool
+	work [][]float64 // the nodes' vectors, reduced in place
+	b, n int         // block size; cube dimension
+}
+
+func (h *halvingDoubling) dim(k int) int {
+	if k < h.n {
+		return h.n - 1 - k
+	}
+	return k - h.n
+}
+
+func (h *halvingDoubling) outbound(v topology.NodeID, k int) []float64 {
+	d := h.dim(k)
+	var lo, hi int
+	if k < h.n {
+		lo, hi = ownedRange(h.cube.Neighbor(v, d), d) // partner's half
+	} else {
+		lo, hi = ownedRange(v, d) // v's fully-reduced range
+	}
+	return h.pool.copyOf(h.work[v][lo*h.b : hi*h.b])
+}
+
+func (h *halvingDoubling) absorb(v topology.NodeID, k int, data []float64) {
+	d := h.dim(k)
+	if k < h.n {
+		lo, _ := ownedRange(v, d)
+		seg := h.work[v][lo*h.b : lo*h.b+len(data)]
+		for i, x := range data {
+			seg[i] += x
+		}
+	} else {
+		lo, _ := ownedRange(h.cube.Neighbor(v, d), d)
+		copy(h.work[v][lo*h.b:lo*h.b+len(data)], data)
+	}
+	h.pool.recycle(data)
+}
+
 // halvingDoublingOn launches the recursive-halving reduce-scatter —
 // followed, unless scatterOnly, by the recursive-doubling allgather of the
-// reduced blocks (the bandwidth-optimal halving+doubling allreduce). In
-// halving round k the exchange crosses dimension n-1-k: each node ships
-// its partner's half of its active block range and folds the received
-// half into its own; after n rounds node v holds block v of the total.
-// The doubling rounds then cross dimensions 0..n-1, copying the
-// fully-reduced ranges back out until every node holds the whole sum.
+// reduced blocks (the bandwidth-optimal halving+doubling allreduce). It
+// takes ownership of in and reduces it in place: Data is in itself, or for
+// scatterOnly each node's view of its own block.
 func halvingDoublingOn(e *engine, cube topology.Cube, in [][]float64, tCompute event.Time, scatterOnly bool) *DataResult {
-	b := blockOf(cube, in)
-	n := cube.Dim()
-	work := copyVecs(in)
+	h := &halvingDoubling{cube: cube, pool: e.pool, work: in, b: blockOf(cube, in), n: cube.Dim()}
 	capture := func() [][]float64 {
 		if !scatterOnly {
-			return copyVecs(work)
+			return in
 		}
-		out := make([][]float64, len(work))
-		for v := range work {
-			out[v] = append([]float64(nil), work[v][v*b:(v+1)*b]...)
+		out := make([][]float64, len(in))
+		for v := range in {
+			out[v] = in[v][v*h.b : (v+1)*h.b]
 		}
 		return out
 	}
 	dr := attachData(e, capture)
-	rounds := 2 * n
+	rounds := 2 * h.n
 	if scatterOnly {
-		rounds = n
+		rounds = h.n
 	}
-	dimOf := func(k int) int {
-		if k < n {
-			return n - 1 - k
-		}
-		return k - n
-	}
-	outbound := func(v topology.NodeID, k int) []float64 {
-		d := dimOf(k)
-		var lo, hi int
-		if k < n {
-			lo, hi = ownedRange(cube.Neighbor(v, d), d) // partner's half
-		} else {
-			lo, hi = ownedRange(v, d) // v's fully-reduced range
-		}
-		return append([]float64(nil), work[v][lo*b:hi*b]...)
-	}
-	absorb := func(v topology.NodeID, k int, data []float64) {
-		d := dimOf(k)
-		if k < n {
-			lo, _ := ownedRange(v, d)
-			seg := work[v][lo*b : lo*b+len(data)]
-			for i, x := range data {
-				seg[i] += x
-			}
-		} else {
-			lo, _ := ownedRange(cube.Neighbor(v, d), d)
-			copy(work[v][lo*b:lo*b+len(data)], data)
-		}
-	}
-	dataExchangeOn(e, cube, rounds, dimOf, outbound, absorb, tCompute)
+	dataExchangeOn(e, cube, rounds, h, tCompute)
 	return dr
 }
 
 // ReduceScatter reduces the nodes' equal-length vectors elementwise and
 // leaves block v of the total at node v, via the recursive-halving
 // schedule (n rounds, dimension-descending, each message one channel).
-// The input is one vector per node, every vector N*b elements; the result
-// is verified against ExpectedReduceScatter before returning.
+// The input is one vector per node, every vector N*b elements, and is
+// left untouched; the result is verified against ExpectedReduceScatter
+// before returning.
 func ReduceScatter(p ncube.Params, cube topology.Cube, in [][]float64, tCompute event.Time) (DataResult, error) {
 	if tCompute < 0 {
 		panic("collective: negative reduce-scatter compute time")
 	}
-	e := newEngine(p, cube)
-	dr := halvingDoublingOn(e, cube, in, tCompute, true)
-	e.finish()
-	return *dr, VerifyData(dr.Data, ExpectedReduceScatter(in))
+	blockOf(cube, in)
+	return runData(p, cube, in, ExpectedReduceScatter(in), func(e *engine, work [][]float64) *DataResult {
+		return halvingDoublingOn(e, cube, work, tCompute, true)
+	})
 }
 
 // ReduceScatterOn launches ReduceScatter's schedule on a shared substrate
 // at the calendar's current time; the caller drives the queue and — since
-// it holds the inputs — verifies Data against ExpectedReduceScatter.
+// it holds the inputs — verifies Data against ExpectedReduceScatter,
+// computed before the launch: the schedule takes ownership of in and
+// reduces it in place, and Data[v] is a view of in[v].
 func ReduceScatterOn(sub Substrate, in [][]float64, tCompute event.Time) *DataResult {
 	if tCompute < 0 {
 		panic("collective: negative reduce-scatter compute time")
@@ -343,25 +393,91 @@ func ReduceScatterOn(sub Substrate, in [][]float64, tCompute event.Time) *DataRe
 // recursive-halving reduce-scatter followed by a recursive-doubling
 // allgather of the reduced blocks — 2n rounds moving 2(N-1)/N of the
 // vector per node, the bandwidth-optimal hypercube schedule. Every node
-// ends with the elementwise total, verified before returning.
+// ends with the elementwise total, verified before returning; in is left
+// untouched.
 func AllReduceHD(p ncube.Params, cube topology.Cube, in [][]float64, tCompute event.Time) (DataResult, error) {
 	if tCompute < 0 {
 		panic("collective: negative allreduce compute time")
 	}
-	e := newEngine(p, cube)
-	dr := halvingDoublingOn(e, cube, in, tCompute, false)
-	e.finish()
-	return *dr, VerifyData(dr.Data, ExpectedAllReduce(in))
+	blockOf(cube, in)
+	return runData(p, cube, in, ExpectedAllReduce(in), func(e *engine, work [][]float64) *DataResult {
+		return halvingDoublingOn(e, cube, work, tCompute, false)
+	})
 }
 
 // AllReduceHDOn launches AllReduceHD's schedule on a shared substrate; the
-// caller drives the queue and verifies Data against ExpectedAllReduce.
+// caller drives the queue and verifies Data against ExpectedAllReduce,
+// computed before the launch: the schedule takes ownership of in, reduces
+// it in place and returns it as Data.
 func AllReduceHDOn(sub Substrate, in [][]float64, tCompute event.Time) *DataResult {
 	if tCompute < 0 {
 		panic("collective: negative allreduce compute time")
 	}
 	e := newEngineOn(sub)
 	return halvingDoublingOn(e, sub.Net.Cube(), in, tCompute, false)
+}
+
+// ringAllReduce is allReduceRingOn's schedule state.
+type ringAllReduce struct {
+	e        *engine
+	work     [][]float64 // the nodes' vectors, reduced in place
+	b, nodes int
+	steps    int
+	tCompute event.Time
+	order    []topology.NodeID // ring position -> node (Gray code)
+	pos      []int             // node -> ring position
+	stash    [][]float64       // stash[v*steps+s]: node v's step-s receipt until absorbed
+	expect   []int             // per node, the next step to absorb
+}
+
+func (r *ringAllReduce) mod(x int) int { return ((x % r.nodes) + r.nodes) % r.nodes }
+
+// chunkSent is the chunk ring position p ships at step s.
+func (r *ringAllReduce) chunkSent(p, s int) int {
+	if s < r.nodes-1 {
+		return r.mod(p - s)
+	}
+	return r.mod(p + 1 - (s - (r.nodes - 1)))
+}
+
+func (r *ringAllReduce) send(v topology.NodeID, s int) {
+	p := r.pos[v]
+	c := r.chunkSent(p, s)
+	payload := r.e.pool.copyOf(r.work[v][c*r.b : (c+1)*r.b])
+	r.e.sendData(r, v, r.order[r.mod(p+1)], s, payload, r.tCompute, false)
+}
+
+func (r *ringAllReduce) receive(to topology.NodeID, s int, data []float64) {
+	r.stash[int(to)*r.steps+s] = data
+	for r.expect[to] < r.steps {
+		i := int(to)*r.steps + r.expect[to]
+		data := r.stash[i]
+		if data == nil {
+			return
+		}
+		r.stash[i] = nil
+		r.expect[to]++
+		r.absorb(to, r.expect[to]-1, data)
+	}
+}
+
+func (r *ringAllReduce) absorb(v topology.NodeID, s int, data []float64) {
+	c := r.chunkSent(r.mod(r.pos[v]-1), s) // what the predecessor shipped
+	seg := r.work[v][c*r.b : (c+1)*r.b]
+	if s < r.nodes-1 {
+		for i, x := range data {
+			seg[i] += x
+		}
+	} else {
+		copy(seg, data)
+	}
+	r.e.pool.recycle(data)
+	if s+1 < r.steps {
+		r.send(v, s+1)
+	}
+	if s == r.steps-1 {
+		r.e.finished(v, r.e.q.Now())
+	}
 }
 
 // allReduceRingOn runs the ring allreduce on the binary-reflected
@@ -372,80 +488,31 @@ func AllReduceHDOn(sub Substrate, in [][]float64, tCompute event.Time) *DataResu
 // receiver folds in its contribution, then N-1 allgather steps
 // circulating the finished chunks. A node issues step s+1 as soon as it
 // has absorbed step s from its predecessor, so the pipeline keeps every
-// ring link busy.
+// ring link busy. It takes ownership of in, reduces it in place and
+// returns it as Data.
 func allReduceRingOn(e *engine, cube topology.Cube, in [][]float64, tCompute event.Time) *DataResult {
 	b := blockOf(cube, in)
+	dr := attachData(e, func() [][]float64 { return in })
 	nodes := cube.Nodes()
-	ring := make([]topology.NodeID, nodes) // position -> node (Gray code)
-	pos := make([]int, nodes)              // node -> position
-	for i := 0; i < nodes; i++ {
-		g := topology.NodeID(i ^ (i >> 1))
-		ring[i] = g
-		pos[g] = i
-	}
-	work := copyVecs(in)
-	dr := attachData(e, func() [][]float64 { return copyVecs(work) })
 	if nodes == 1 {
 		e.finished(0, e.q.Now())
 		return dr
 	}
 	steps := 2 * (nodes - 1)
-	mod := func(x int) int { return ((x % nodes) + nodes) % nodes }
-	// chunkSent is the chunk ring position p ships at step s.
-	chunkSent := func(p, s int) int {
-		if s < nodes-1 {
-			return mod(p - s)
-		}
-		return mod(p + 1 - (s - (nodes - 1)))
+	r := &ringAllReduce{
+		e: e, work: in, b: b, nodes: nodes, steps: steps, tCompute: tCompute,
+		order:  make([]topology.NodeID, nodes),
+		pos:    make([]int, nodes),
+		stash:  make([][]float64, nodes*steps),
+		expect: make([]int, nodes),
 	}
-	stash := make([][][]float64, nodes) // per node, payloads keyed by step
-	expect := make([]int, nodes)        // next step to absorb, in order
-	for v := range stash {
-		stash[v] = make([][]float64, steps)
-	}
-	var send func(v topology.NodeID, s int)
-	absorb := func(v topology.NodeID, s int, data []float64) {
-		p := pos[v]
-		c := chunkSent(mod(p-1), s) // what the predecessor shipped
-		seg := work[v][c*b : (c+1)*b]
-		if s < nodes-1 {
-			for i, x := range data {
-				seg[i] += x
-			}
-		} else {
-			copy(seg, data)
-		}
-		if s+1 < steps {
-			send(v, s+1)
-		}
-		if s == steps-1 {
-			e.finished(v, e.q.Now())
-		}
-	}
-	drain := func(v topology.NodeID) {
-		for expect[v] < steps && stash[v][expect[v]] != nil {
-			s := expect[v]
-			data := stash[v][s]
-			stash[v][s] = nil
-			expect[v]++
-			absorb(v, s, data)
-		}
-	}
-	send = func(v topology.NodeID, s int) {
-		p := pos[v]
-		c := chunkSent(p, s)
-		payload := append([]float64(nil), work[v][c*b:(c+1)*b]...)
-		succ := ring[mod(p+1)]
-		spec := sendSpec{to: succ, bytes: len(payload) * ElemBytes, tag: s, data: payload}
-		e.sendSeq(v, []sendSpec{spec}, func(sp sendSpec, d wormhole.Delivery) {
-			e.q.After(e.p.TRecv+tCompute, func() {
-				stash[d.To][sp.tag] = sp.data
-				drain(d.To)
-			})
-		})
+	for i := 0; i < nodes; i++ {
+		g := topology.NodeID(i ^ (i >> 1))
+		r.order[i] = g
+		r.pos[g] = i
 	}
 	for v := 0; v < nodes; v++ {
-		send(topology.NodeID(v), 0)
+		r.send(topology.NodeID(v), 0)
 	}
 	return dr
 }
@@ -453,19 +520,22 @@ func allReduceRingOn(e *engine, cube topology.Cube, in [][]float64, tCompute eve
 // AllReduceRing is the data-carrying ring allreduce on the Gray-code
 // Hamiltonian cycle: bandwidth-identical to halving+doubling (2(N-1)
 // single-block steps per node) but latency-heavier — the classic
-// large-vector gradient-aggregation schedule. Verified before returning.
+// large-vector gradient-aggregation schedule. Verified before returning;
+// in is left untouched.
 func AllReduceRing(p ncube.Params, cube topology.Cube, in [][]float64, tCompute event.Time) (DataResult, error) {
 	if tCompute < 0 {
 		panic("collective: negative allreduce compute time")
 	}
-	e := newEngine(p, cube)
-	dr := allReduceRingOn(e, cube, in, tCompute)
-	e.finish()
-	return *dr, VerifyData(dr.Data, ExpectedAllReduce(in))
+	blockOf(cube, in)
+	return runData(p, cube, in, ExpectedAllReduce(in), func(e *engine, work [][]float64) *DataResult {
+		return allReduceRingOn(e, cube, work, tCompute)
+	})
 }
 
 // AllReduceRingOn launches AllReduceRing's schedule on a shared substrate;
-// the caller drives the queue and verifies Data against ExpectedAllReduce.
+// the caller drives the queue and verifies Data against ExpectedAllReduce,
+// computed before the launch: the schedule takes ownership of in, reduces
+// it in place and returns it as Data.
 func AllReduceRingOn(sub Substrate, in [][]float64, tCompute event.Time) *DataResult {
 	if tCompute < 0 {
 		panic("collective: negative allreduce compute time")
@@ -474,43 +544,63 @@ func AllReduceRingOn(sub Substrate, in [][]float64, tCompute event.Time) *DataRe
 	return allReduceRingOn(e, sub.Net.Cube(), in, tCompute)
 }
 
-// a2aKey packs a (source, destination) block identity into one map key.
-func a2aKey(n int, s, t int) int { return s<<uint(n) | t }
-
-// a2aSendIDs lists, in ascending key order, the (source, destination)
-// blocks node v ships across dimension k of the pairwise-exchange
-// all-to-all: everything v currently holds whose destination differs from
-// v in bit k. The invariant after rounds 0..k-1 — v holds exactly the
+// allToAll is the exchangeSched of allToAllOn. Node v holds N blocks at
+// all times, one per slot: block (s, t) — source s's block for
+// destination t — sits in slot s^t. Before round k, v holds exactly the
 // blocks whose destination agrees with v below bit k and whose source
-// agrees with v at bit k and above — makes the set closed-form, so the
-// receiver reconstructs block identities without per-block tags.
-func a2aSendIDs(n int, v topology.NodeID, k int) []int {
-	nodes := 1 << uint(n)
-	lowMask := 1<<uint(k) - 1
-	sLo := (int(v) >> uint(k)) << uint(k)
-	tLow := int(v)&lowMask | (int(v)>>uint(k)&1^1)<<uint(k)
-	out := make([]int, 0, nodes/2)
-	for s := sLo; s < sLo+1<<uint(k); s++ {
-		for hb := 0; hb < 1<<uint(n-k-1); hb++ {
-			out = append(out, a2aKey(n, s, hb<<uint(k+1)|tLow))
-		}
-	}
-	return out
+// agrees with v at bit k and above, and that makes the slot a one-to-one
+// index. Round k ships the blocks whose destination differs from v in bit
+// k, which are exactly the slots with bit k set, and the partner's blocks
+// arrive for the same slots, so a payload is the slots with bit k set in
+// ascending order and the receiver needs no per-block tags.
+type allToAll struct {
+	pool     *Pool
+	work     [][]float64 // the nodes' input vectors, owned
+	b, nodes int
+	n        int         // cube dimension
+	held     [][]float64 // held[v*nodes+x]: node v's block in slot x (a view)
+	rx       [][]float64 // rx[v*n+k]: node v's round-k payload, which held views
 }
 
-// a2aRecvIDs lists, in ascending key order, the blocks node v receives
-// across dimension k — its dimension-k partner's send set.
-func a2aRecvIDs(n int, v topology.NodeID, k int) []int {
-	nodes := 1 << uint(n)
-	tLow := int(v) & (1<<uint(k+1) - 1)
-	sBase := (int(v)>>uint(k+1))<<uint(k+1) | (int(v)>>uint(k)&1^1)<<uint(k)
-	out := make([]int, 0, nodes/2)
-	for s := sBase; s < sBase+1<<uint(k); s++ {
-		for hb := 0; hb < 1<<uint(n-k-1); hb++ {
-			out = append(out, a2aKey(n, s, hb<<uint(k+1)|tLow))
+func (a *allToAll) dim(k int) int { return k }
+
+func (a *allToAll) outbound(v topology.NodeID, k int) []float64 {
+	payload := a.pool.block(a.nodes / 2 * a.b)
+	held := a.held[int(v)*a.nodes:]
+	i := 0
+	for x := 1 << uint(k); x < a.nodes; x = (x + 1) | 1<<uint(k) {
+		copy(payload[i*a.b:], held[x])
+		i++
+	}
+	return payload
+}
+
+func (a *allToAll) absorb(v topology.NodeID, k int, data []float64) {
+	held := a.held[int(v)*a.nodes:]
+	i := 0
+	for x := 1 << uint(k); x < a.nodes; x = (x + 1) | 1<<uint(k) {
+		held[x] = data[i*a.b : (i+1)*a.b : (i+1)*a.b]
+		i++
+	}
+	a.rx[int(v)*a.n+k] = data
+}
+
+// result assembles node v's gathered vector in place in its input vector,
+// whose only live block by now is v's own block to itself, already at
+// slot v of the result, and recycles the payloads the views pointed into.
+func (a *allToAll) result() [][]float64 {
+	for v := 0; v < a.nodes; v++ {
+		out, held := a.work[v], a.held[v*a.nodes:]
+		for s := 0; s < a.nodes; s++ {
+			if s != v {
+				copy(out[s*a.b:(s+1)*a.b], held[s^v])
+			}
 		}
 	}
-	return out
+	for _, data := range a.rx {
+		a.pool.recycle(data)
+	}
+	return a.work
 }
 
 // allToAllOn runs the pairwise-exchange (XOR) all-to-all: n rounds, one
@@ -518,114 +608,98 @@ func a2aRecvIDs(n int, v topology.NodeID, k int) []int {
 // destination lies across the current dimension. Blocks hop between
 // partners until destination bits are satisfied dimension by dimension;
 // after round n-1 node v holds exactly the blocks addressed to it, one
-// from every source.
+// from every source. It takes ownership of in and returns the gathered
+// vectors in its storage as Data.
 func allToAllOn(e *engine, cube topology.Cube, in [][]float64) *DataResult {
 	b := blockOf(cube, in)
-	n := cube.Dim()
-	nodes := cube.Nodes()
-	held := make([]map[int][]float64, nodes)
+	nodes, n := cube.Nodes(), cube.Dim()
+	a := &allToAll{
+		pool: e.pool, work: in, b: b, nodes: nodes, n: n,
+		held: make([][]float64, nodes*nodes),
+		rx:   make([][]float64, nodes*n),
+	}
 	for v := 0; v < nodes; v++ {
-		base := append([]float64(nil), in[v]...)
-		held[v] = make(map[int][]float64, nodes)
 		for t := 0; t < nodes; t++ {
-			held[v][a2aKey(n, v, t)] = base[t*b : (t+1)*b : (t+1)*b]
+			a.held[v*nodes+(v^t)] = in[v][t*b : (t+1)*b : (t+1)*b]
 		}
 	}
-	capture := func() [][]float64 {
-		out := make([][]float64, nodes)
-		for v := 0; v < nodes; v++ {
-			vec := make([]float64, 0, nodes*b)
-			for s := 0; s < nodes; s++ {
-				vec = append(vec, held[v][a2aKey(n, s, v)]...)
-			}
-			out[v] = vec
-		}
-		return out
-	}
-	dr := attachData(e, capture)
-	outbound := func(v topology.NodeID, k int) []float64 {
-		ids := a2aSendIDs(n, v, k)
-		payload := make([]float64, 0, len(ids)*b)
-		for _, id := range ids {
-			payload = append(payload, held[v][id]...)
-			delete(held[v], id)
-		}
-		return payload
-	}
-	absorb := func(v topology.NodeID, k int, data []float64) {
-		for i, id := range a2aRecvIDs(n, v, k) {
-			held[v][id] = data[i*b : (i+1)*b : (i+1)*b]
-		}
-	}
-	dataExchangeOn(e, cube, n, func(k int) int { return k }, outbound, absorb, 0)
+	dr := attachData(e, a.result)
+	dataExchangeOn(e, cube, n, a, 0)
 	return dr
 }
 
 // AllToAll performs the complete block exchange — node v's input block t
 // ends as slot v of node t's result — via the pairwise-exchange schedule
 // (n rounds, N/2 blocks per message, each message one channel). Verified
-// against ExpectedAllToAll before returning.
+// against ExpectedAllToAll before returning; in is left untouched.
 func AllToAll(p ncube.Params, cube topology.Cube, in [][]float64) (DataResult, error) {
-	e := newEngine(p, cube)
-	dr := allToAllOn(e, cube, in)
-	e.finish()
-	return *dr, VerifyData(dr.Data, ExpectedAllToAll(in))
+	blockOf(cube, in)
+	return runData(p, cube, in, ExpectedAllToAll(in), func(e *engine, work [][]float64) *DataResult {
+		return allToAllOn(e, cube, work)
+	})
 }
 
 // AllToAllOn launches AllToAll's schedule on a shared substrate; the
-// caller drives the queue and verifies Data against ExpectedAllToAll.
+// caller drives the queue and verifies Data against ExpectedAllToAll,
+// computed before the launch: the schedule takes ownership of in and
+// returns the gathered vectors in its storage as Data.
 func AllToAllOn(sub Substrate, in [][]float64) *DataResult {
 	e := newEngineOn(sub)
 	return allToAllOn(e, sub.Net.Cube(), in)
+}
+
+// reduceData is reduceDataOn's schedule state.
+type reduceData struct {
+	e        *engine
+	cube     topology.Cube
+	root     topology.NodeID
+	acc      [][]float64 // per node, its accumulator (the owned input)
+	pending  []int       // per root-relative node, children still to absorb
+	tCompute event.Time
+}
+
+// ready ships root-relative node r's accumulated vector to its parent, or
+// finishes the root.
+func (rd *reduceData) ready(r topology.NodeID) {
+	node := absOf(rd.cube, rd.root, r)
+	if r == 0 {
+		rd.e.finished(node, rd.e.q.Now())
+		return
+	}
+	parent := r &^ (1 << uint(lowBit(r, rd.cube.Dim())))
+	rd.e.sendData(rd, node, absOf(rd.cube, rd.root, parent), int(r), rd.e.pool.copyOf(rd.acc[node]), rd.tCompute, true)
+}
+
+func (rd *reduceData) receive(to topology.NodeID, _ int, data []float64) {
+	seg := rd.acc[to]
+	for i, x := range data {
+		seg[i] += x
+	}
+	rd.e.pool.recycle(data)
+	pr := relOf(rd.cube, rd.root, to)
+	rd.pending[pr]--
+	if rd.pending[pr] == 0 {
+		rd.ready(pr)
+	}
 }
 
 // reduceDataOn runs the payload-carrying all-to-one reduction: partial
 // vectors converge on root up the dimension-ascending binomial tree
 // (Reduce's exact schedule and message sizes), each hop shipping the
 // sender's accumulated vector and each receipt charging TRecv + tCompute
-// before folding into the local accumulator.
+// before folding into the local accumulator. It takes ownership of in,
+// accumulates in place and returns it as Data.
 func reduceDataOn(e *engine, cube topology.Cube, root topology.NodeID, in [][]float64, tCompute event.Time) *DataResult {
 	uniformLen(cube, in)
 	n := cube.Dim()
-	acc := copyVecs(in)
-	dr := attachData(e, func() [][]float64 { return copyVecs(acc) })
-	pending := make([]int, cube.Nodes())
-	var ready func(r topology.NodeID)
-	ready = func(r topology.NodeID) {
-		node := absOf(cube, root, r)
-		if r == 0 {
-			e.finished(node, e.q.Now())
-			return
-		}
-		L := lowBit(r, n)
-		parent := r &^ (1 << uint(L))
-		spec := sendSpec{
-			to:    absOf(cube, root, parent),
-			bytes: len(acc[node]) * ElemBytes,
-			tag:   int(r),
-			data:  append([]float64(nil), acc[node]...),
-		}
-		e.sendSeq(node, []sendSpec{spec}, func(s sendSpec, d wormhole.Delivery) {
-			e.finished(node, d.Arrived)
-			pr := relOf(cube, root, d.To)
-			e.q.After(e.p.TRecv+tCompute, func() {
-				seg := acc[d.To]
-				for i, x := range s.data {
-					seg[i] += x
-				}
-				pending[pr]--
-				if pending[pr] == 0 {
-					ready(pr)
-				}
-			})
-		})
+	rd := &reduceData{e: e, cube: cube, root: root, acc: in, pending: make([]int, cube.Nodes()), tCompute: tCompute}
+	dr := attachData(e, func() [][]float64 { return in })
+	for v := 0; v < cube.Nodes(); v++ {
+		rd.pending[v] = lowBit(topology.NodeID(v), n)
 	}
 	for v := 0; v < cube.Nodes(); v++ {
-		pending[v] = lowBit(topology.NodeID(v), n)
-	}
-	for v := 0; v < cube.Nodes(); v++ {
-		if pending[v] == 0 {
-			ready(topology.NodeID(v))
+		if rd.pending[v] == 0 {
+			rd.ready(topology.NodeID(v))
 		}
 	}
 	return dr
@@ -634,20 +708,24 @@ func reduceDataOn(e *engine, cube topology.Cube, root topology.NodeID, in [][]fl
 // ReduceData is the payload-carrying Reduce: the root ends with the
 // elementwise sum of every node's vector (Data[root]; other nodes keep
 // their partial accumulators). The root's vector is verified against the
-// column sum before returning.
+// column sum before returning; in is left untouched.
 func ReduceData(p ncube.Params, cube topology.Cube, root topology.NodeID, in [][]float64, tCompute event.Time) (DataResult, error) {
 	cube.MustContain(root)
 	if tCompute < 0 {
 		panic("collective: negative reduce compute time")
 	}
-	e := newEngine(p, cube)
-	dr := reduceDataOn(e, cube, root, in, tCompute)
+	uniformLen(cube, in)
+	want := columnSum(in)
+	e := newEngine(p, cube, cube.Nodes())
+	dr := reduceDataOn(e, cube, root, copyVecs(in), tCompute)
 	e.finish()
-	return *dr, VerifyData([][]float64{dr.Data[root]}, [][]float64{columnSum(in)})
+	return *dr, VerifyData([][]float64{dr.Data[root]}, [][]float64{want})
 }
 
 // ReduceDataOn launches ReduceData's schedule on a shared substrate; the
-// caller drives the queue and verifies Data[root] against the column sum.
+// caller drives the queue and verifies Data[root] against the column sum,
+// computed before the launch: the schedule takes ownership of in,
+// accumulates in place and returns it as Data.
 func ReduceDataOn(sub Substrate, root topology.NodeID, in [][]float64, tCompute event.Time) *DataResult {
 	cube := sub.Net.Cube()
 	cube.MustContain(root)

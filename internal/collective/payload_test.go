@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hypercube/internal/core"
+	"hypercube/internal/ncube"
 	"hypercube/internal/topology"
 )
 
@@ -147,5 +148,100 @@ func TestRandomDataIntegerValued(t *testing.T) {
 	}
 	if !reflect.DeepEqual(d, RandomData(42, 8, 16)) {
 		t.Fatal("RandomData not deterministic")
+	}
+}
+
+// The standalone entry points copy their input once and reduce the copy:
+// the caller's vectors come back element-identical, so a caller may reuse
+// one input across calls, as the fuzz target does.
+func TestDataEntryPointsLeaveInputUntouched(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		c := cube(n)
+		for _, pm := range []core.PortModel{core.AllPort, core.OnePort} {
+			p := params(pm)
+			in := RandomData(int64(n), c.Nodes(), c.Nodes()*3)
+			orig := copyVecs(in)
+			root := topology.NodeID(c.Nodes() - 1)
+			for name, run := range map[string]func() (DataResult, error){
+				"reduce-scatter": func() (DataResult, error) { return ReduceScatter(p, c, in, 10) },
+				"allreduce-hd":   func() (DataResult, error) { return AllReduceHD(p, c, in, 10) },
+				"allreduce-ring": func() (DataResult, error) { return AllReduceRing(p, c, in, 10) },
+				"alltoall":       func() (DataResult, error) { return AllToAll(p, c, in) },
+				"reduce-data":    func() (DataResult, error) { return ReduceData(p, c, root, in, 10) },
+			} {
+				if _, err := run(); err != nil {
+					t.Fatalf("n=%d pm=%v %s: %v", n, pm, name, err)
+				}
+				if err := VerifyData(in, orig); err != nil {
+					t.Fatalf("n=%d pm=%v %s changed its input: %v", n, pm, name, err)
+				}
+			}
+		}
+	}
+}
+
+// Each substrate launch, on a fresh session of its own, must reproduce its
+// standalone twin exactly — Data, Makespan, Messages and Finish — under
+// both port models and on one and two lanes. The launches share one Pool,
+// so every launch after the first runs on blocks and message records the
+// earlier ones returned.
+func TestDataOnMatchesStandalone(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		c := cube(n)
+		for _, pm := range []core.PortModel{core.AllPort, core.OnePort} {
+			for _, lanes := range []int{1, 2} {
+				p := params(pm)
+				p.Lanes = lanes
+				in := RandomData(int64(10*n+lanes), c.Nodes(), c.Nodes()*2)
+				root := topology.NodeID(c.Nodes() / 2)
+				pool := new(Pool)
+				for _, tc := range []struct {
+					name       string
+					standalone func() (DataResult, error)
+					on         func(sub Substrate, in [][]float64) *DataResult
+				}{
+					{"reduce-scatter",
+						func() (DataResult, error) { return ReduceScatter(p, c, in, 10) },
+						func(sub Substrate, in [][]float64) *DataResult { return ReduceScatterOn(sub, in, 10) }},
+					{"allreduce-hd",
+						func() (DataResult, error) { return AllReduceHD(p, c, in, 10) },
+						func(sub Substrate, in [][]float64) *DataResult { return AllReduceHDOn(sub, in, 10) }},
+					{"allreduce-ring",
+						func() (DataResult, error) { return AllReduceRing(p, c, in, 10) },
+						func(sub Substrate, in [][]float64) *DataResult { return AllReduceRingOn(sub, in, 10) }},
+					{"alltoall",
+						func() (DataResult, error) { return AllToAll(p, c, in) },
+						func(sub Substrate, in [][]float64) *DataResult { return AllToAllOn(sub, in) }},
+					{"reduce-data",
+						func() (DataResult, error) { return ReduceData(p, c, root, in, 10) },
+						func(sub Substrate, in [][]float64) *DataResult { return ReduceDataOn(sub, root, in, 10) }},
+				} {
+					want, err := tc.standalone()
+					if err != nil {
+						t.Fatalf("n=%d pm=%v lanes=%d %s: %v", n, pm, lanes, tc.name, err)
+					}
+					s := ncube.NewSession(p, c, ncube.Instrumentation{})
+					var done *Result
+					sub := Substrate{Queue: s.Queue(), Net: s.Network(), Params: p, Pool: pool,
+						OnDone: func(r Result) { done = &r }}
+					got := tc.on(sub, copyVecs(in))
+					if err := s.Run(0, 0); err != nil {
+						t.Fatalf("n=%d pm=%v lanes=%d %s: %v", n, pm, lanes, tc.name, err)
+					}
+					s.Release()
+					if done == nil {
+						t.Fatalf("n=%d pm=%v lanes=%d %s: OnDone never fired", n, pm, lanes, tc.name)
+					}
+					if err := VerifyData(got.Data, want.Data); err != nil {
+						t.Errorf("n=%d pm=%v lanes=%d %s: Data: %v", n, pm, lanes, tc.name, err)
+					}
+					if got.Makespan != want.Makespan || got.Messages != want.Messages ||
+						!reflect.DeepEqual(got.Finish, want.Finish) {
+						t.Errorf("n=%d pm=%v lanes=%d %s: launch diverged from standalone\n got %+v\nwant %+v",
+							n, pm, lanes, tc.name, got.Result, want.Result)
+					}
+				}
+			}
+		}
 	}
 }

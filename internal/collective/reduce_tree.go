@@ -23,7 +23,7 @@ func ReduceTree(p ncube.Params, tr *core.Tree, bytes int, tCompute event.Time) R
 	if bytes < 0 || tCompute < 0 {
 		panic("collective: negative reduce parameter")
 	}
-	e := newEngine(p, tr.Cube)
+	e := newEngine(p, tr.Cube, len(tr.Order))
 
 	// children[v] counts v's direct children; parents derived from sends.
 	children := map[topology.NodeID]int{}

@@ -7,9 +7,12 @@ import (
 
 // Pooled traffic runs allocate per-op bookkeeping, trees and results, but
 // nothing per event: the session's calendar, network, tree executions and
-// their node tables are reused across runs. The ceilings are the exact
-// counts for the specs of the root package's TrafficSaturation6Cube and
-// TrafficChaosFaulted5Cube benchmarks, measured in a fresh test process,
+// their node tables are reused across runs, and a run's data-carrying ops
+// share one pool of payload blocks and message records, so after the
+// first op has warmed it an allreduce allocates per op, not per message.
+// The ceilings are the exact counts for the specs of the root package's
+// TrafficSaturation6Cube and TrafficChaosFaulted5Cube benchmarks and of
+// perfbench's two allreduce scenarios, measured in a fresh test process,
 // so any new per-send or per-event allocation trips them.
 func TestRunAllocCeiling(t *testing.T) {
 	if raceEnabled {
@@ -31,7 +34,7 @@ func TestRunAllocCeiling(t *testing.T) {
 					Op: Template{Kind: KindMulticast, DestCount: 32, Bytes: 4096},
 				},
 			}
-		}, 1131},
+		}, 900},
 		{"chaos-faulted-5cube", func() *Spec {
 			return &Spec{
 				Dim:  5,
@@ -42,7 +45,9 @@ func TestRunAllocCeiling(t *testing.T) {
 				},
 				Faults: []FaultEvent{{Kind: FaultLink, Count: 2, Seed: 5}},
 			}
-		}, 2765},
+		}, 2712},
+		{"allreduce-hd-5cube", func() *Spec { return allReduceSpec("hd") }, 489},
+		{"allreduce-ring-5cube", func() *Spec { return allReduceSpec("ring") }, 345},
 	} {
 		// Run canonicalizes its spec in place, so each call gets a fresh
 		// one, as in the benchmarks.
@@ -54,5 +59,18 @@ func TestRunAllocCeiling(t *testing.T) {
 		if got > tc.want {
 			t.Errorf("%s: Run allocates %v objects per call, ceiling %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// allReduceSpec is perfbench's allreduce scenario: 8 payload-verified
+// allreduce arrivals of 256-byte blocks on a 5-cube.
+func allReduceSpec(alg string) *Spec {
+	return &Spec{
+		Dim:  5,
+		Seed: 1993,
+		Arrivals: &Arrivals{
+			Kind: "poisson", Count: 8, RatePerMS: 1,
+			Op: Template{Kind: KindAllReduce, Algorithm: alg, Bytes: 256},
+		},
 	}
 }

@@ -153,6 +153,9 @@ type engine struct {
 	// dataErr is the first payload-verification failure; the run reports
 	// it as an error rather than returning silently wrong data.
 	dataErr error
+	// payloads recycles payload blocks and message records across the
+	// scenario's data-carrying ops.
+	payloads collective.Pool
 }
 
 // Run executes a scenario and returns its per-op and network results.
@@ -316,6 +319,7 @@ func (e *engine) start(i int) {
 		Queue:  e.ses.Queue(),
 		Net:    e.ses.Network(),
 		Params: e.p,
+		Pool:   &e.payloads,
 		OnDone: func(r collective.Result) {
 			st.messages += r.Messages
 			st.blocked += r.TotalBlocked
@@ -377,9 +381,10 @@ func (e *engine) start(i int) {
 }
 
 // startData launches a data-carrying op: synthesize the seeded per-node
-// input vectors, run the payload schedule on the shared substrate, and —
-// at the instant the collective completes, before the op is marked done —
-// verify the delivered data element by element against the analytic
+// input vectors, compute the analytic expectation from them, hand them to
+// the payload schedule on the shared substrate (which reduces them in
+// place), and — at the instant the collective completes, before the op is
+// marked done — verify the delivered data element by element against the
 // expectation. A mismatch fails the whole run: wrong data is a scheduling
 // bug, not a statistic.
 func (e *engine) startData(i int, sub collective.Substrate) {

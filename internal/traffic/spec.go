@@ -373,6 +373,7 @@ func (s *Spec) Canonicalize(lim Limits) error {
 		return fmt.Errorf("traffic: %d ops exceed the limit of %d", len(s.Ops), lim.MaxOps)
 	}
 	seen := make(map[string]int, len(s.Ops))
+	var draw destDraw
 	for i := range s.Ops {
 		op := &s.Ops[i]
 		if op.ID == "" {
@@ -382,7 +383,7 @@ func (s *Spec) Canonicalize(lim Limits) error {
 			return fmt.Errorf("traffic: ops %d and %d share id %q", j, i, op.ID)
 		}
 		seen[op.ID] = i
-		if err := s.canonicalizeOp(cube, lim, op, i, seen); err != nil {
+		if err := s.canonicalizeOp(cube, lim, op, i, seen, &draw); err != nil {
 			return fmt.Errorf("traffic: op %q: %v", op.ID, err)
 		}
 	}
@@ -532,7 +533,7 @@ func (s *Spec) Schedule() *faults.Schedule {
 	return sched
 }
 
-func (s *Spec) canonicalizeOp(cube topology.Cube, lim Limits, op *Op, idx int, seen map[string]int) error {
+func (s *Spec) canonicalizeOp(cube topology.Cube, lim Limits, op *Op, idx int, seen map[string]int, draw *destDraw) error {
 	if op.Bytes == 0 {
 		op.Bytes = 4096
 	}
@@ -623,7 +624,7 @@ func (s *Spec) canonicalizeOp(cube topology.Cube, lim Limits, op *Op, idx int, s
 		if err := firstErr(treeAlg, needSrc, noGroups); err != nil {
 			return err
 		}
-		return normalizeDests(cube, op)
+		return normalizeDests(cube, op, draw)
 	case KindBroadcast:
 		return firstErr(treeAlg, needSrc, noDests, noGroups)
 	case KindScatter, KindGather:
@@ -664,10 +665,31 @@ func firstErr(checks ...func() error) error {
 	return nil
 }
 
+// destDraw expands the seeded destination draws of one Canonicalize call
+// with one generator, reseeded per op: it draws exactly what a fresh
+// workload.NewGenerator at the op's seed would, without a new generator's
+// random-source state per op.
+type destDraw struct {
+	gen *workload.Generator
+	buf []topology.NodeID
+}
+
+// dests draws m destinations from cube excluding src at seed. The result
+// is valid until the next draw.
+func (d *destDraw) dests(cube topology.Cube, seed int64, src topology.NodeID, m int) []topology.NodeID {
+	if d.gen == nil {
+		d.gen = workload.NewGenerator(cube, seed)
+	} else {
+		d.gen.Reseed(cube, seed)
+	}
+	d.buf = d.gen.AppendDests(d.buf[:0], src, m)
+	return d.buf
+}
+
 // normalizeDests canonicalizes the (Dests | DestCount+Seed) pair exactly
 // as the HTTP API does: a seeded draw is expanded deterministically, then
 // the set is sorted, deduplicated, and stripped of src.
-func normalizeDests(cube topology.Cube, op *Op) error {
+func normalizeDests(cube topology.Cube, op *Op, draw *destDraw) error {
 	n := cube.Nodes()
 	if len(op.Dests) > 0 && op.DestCount > 0 {
 		return fmt.Errorf("give dests or dest_count, not both")
@@ -677,7 +699,7 @@ func normalizeDests(cube topology.Cube, op *Op) error {
 		if op.DestCount > n-1 {
 			return fmt.Errorf("dest_count %d exceeds the %d-node cube's %d possible destinations", op.DestCount, n, n-1)
 		}
-		drawn := workload.NewGenerator(cube, op.Seed).Dests(topology.NodeID(op.Src), op.DestCount)
+		drawn := draw.dests(cube, op.Seed, topology.NodeID(op.Src), op.DestCount)
 		dests = make([]int, len(drawn))
 		for i, d := range drawn {
 			dests[i] = int(d)

@@ -2,8 +2,13 @@ package traffic
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"hypercube/internal/topology"
+	"hypercube/internal/workload"
 )
 
 // TestCanonicalRoundTrip: canonicalize → encode → parse → canonicalize →
@@ -150,5 +155,38 @@ func TestArrivalsExpansion(t *testing.T) {
 	}}
 	if err := maxOps.Canonicalize(Limits{MaxOps: 50}); err == nil {
 		t.Error("arrival count above MaxOps accepted")
+	}
+}
+
+// Canonicalize expands every seeded destination draw with one reseeded
+// generator; each op's set must be exactly what a fresh generator at the
+// op's seed draws, sorted — so canonical bytes and cache keys are those
+// of a per-op generator. Draw sizes alternate between small and large so
+// the reused buffers shrink as well as grow.
+func TestCanonicalDestsMatchFreshGenerator(t *testing.T) {
+	const dim = 6
+	cube := topology.New(dim, topology.HighToLow)
+	spec := &Spec{Dim: dim}
+	for i := 0; i < 24; i++ {
+		m := 1 + (i*37)%(cube.Nodes()-1)
+		if i%2 == 1 {
+			m = 1 + i%3
+		}
+		spec.Ops = append(spec.Ops, Op{Kind: KindMulticast, Src: (i * 11) % cube.Nodes(), DestCount: m, Seed: int64(1000 + 7*i)})
+	}
+	want := make([][]int, len(spec.Ops))
+	for i, op := range spec.Ops {
+		for _, d := range workload.NewGenerator(cube, op.Seed).Dests(topology.NodeID(op.Src), op.DestCount) {
+			want[i] = append(want[i], int(d))
+		}
+		sort.Ints(want[i])
+	}
+	if err := spec.Canonicalize(PermissiveLimits()); err != nil {
+		t.Fatal(err)
+	}
+	for i, op := range spec.Ops {
+		if !reflect.DeepEqual(op.Dests, want[i]) {
+			t.Errorf("op %d: dests %v, want %v", i, op.Dests, want[i])
+		}
 	}
 }

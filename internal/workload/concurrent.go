@@ -67,7 +67,7 @@ func Concurrent(cfg ConcurrentConfig) *stats.Table {
 	mTrials := cfg.Metrics.Counter("workload_trials")
 	mMakespan := cfg.Metrics.Histogram("workload_makespan_us")
 	rows := make([][]float64, len(cfg.Counts))
-	forEachPoint(len(cfg.Counts), cfg.Workers, func(_ *worker, pi int) {
+	ForEachPoint(len(cfg.Counts), cfg.Workers, func(pi int) {
 		k := cfg.Counts[pi]
 		gen := NewGenerator(cube, cfg.Seed+int64(k))
 		samples := make([][]float64, len(cfg.Algorithms))

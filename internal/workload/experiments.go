@@ -20,13 +20,32 @@ import (
 // to a serial run — parallelism only shortens the wall clock, in keeping
 // with the experiments' determinism guarantees. Each goroutine hands all
 // of its points the same worker w, which no other goroutine sees.
+func forEachPoint(points, workers int, work func(w *worker, i int)) {
+	forEach(points, workers, func() func(i int) {
+		w := new(worker)
+		return func(i int) { work(w, i) }
+	})
+}
+
+// ForEachPoint is forEachPoint for callers that need no worker — the
+// server's request coalescer runs each batched request as one point, and
+// Concurrent each interference point — so no goroutine allocates one.
+// Semantics are identical: results match a serial run, and a point panic
+// is annotated with its index and re-raised once from the caller.
+func ForEachPoint(points, workers int, work func(i int)) {
+	forEach(points, workers, func() func(i int) { return work })
+}
+
+// forEach runs every point index on up to workers goroutines, each
+// evaluating its points with the function newWork made for it when it
+// started.
 //
-// A panic inside work is recovered in the worker goroutine, annotated with
-// the failing point index, and re-raised exactly once from forEachPoint's
+// A panic inside a point is recovered in the worker goroutine, annotated
+// with the failing point index, and re-raised exactly once from forEach's
 // caller — a bare goroutine panic would kill the process without saying
 // which sweep point's configuration failed. When a point has panicked,
 // not-yet-started points are skipped; in-flight points run to completion.
-func forEachPoint(points, workers int, work func(w *worker, i int)) {
+func forEach(points, workers int, newWork func() func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -37,7 +56,7 @@ func forEachPoint(points, workers int, work func(w *worker, i int)) {
 		failedMu sync.Mutex
 		failed   *pointPanic
 	)
-	run := func(w *worker, i int) {
+	run := func(work func(int), i int) {
 		defer func() {
 			if v := recover(); v != nil {
 				failedMu.Lock()
@@ -47,7 +66,7 @@ func forEachPoint(points, workers int, work func(w *worker, i int)) {
 				failedMu.Unlock()
 			}
 		}()
-		work(w, i)
+		work(i)
 	}
 	aborted := func() bool {
 		failedMu.Lock()
@@ -55,9 +74,9 @@ func forEachPoint(points, workers int, work func(w *worker, i int)) {
 		return failed != nil
 	}
 	if workers <= 1 {
-		w := new(worker)
+		work := newWork()
 		for i := 0; i < points && !aborted(); i++ {
-			run(w, i)
+			run(work, i)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -66,10 +85,10 @@ func forEachPoint(points, workers int, work func(w *worker, i int)) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				w := new(worker)
+				work := newWork()
 				for i := range next {
 					if !aborted() {
-						run(w, i)
+						run(work, i)
 					}
 				}
 			}()
@@ -83,15 +102,6 @@ func forEachPoint(points, workers int, work func(w *worker, i int)) {
 	if failed != nil {
 		panic(failed)
 	}
-}
-
-// ForEachPoint is the exported face of forEachPoint for callers outside
-// this package that batch independent per-point work — the server's
-// request coalescer runs each batched request as one point. Semantics are
-// identical: results match a serial run, and a point panic is annotated
-// with its index and re-raised once from the caller.
-func ForEachPoint(points, workers int, work func(i int)) {
-	forEachPoint(points, workers, func(_ *worker, i int) { work(i) })
 }
 
 // worker is one sweep goroutine's own multicast storage: the generator
@@ -111,7 +121,7 @@ func (w *worker) generator(cube topology.Cube, seed int64) *Generator {
 	if w.gen == nil {
 		w.gen = NewGenerator(cube, seed)
 	} else {
-		w.gen.reseed(cube, seed)
+		w.gen.Reseed(cube, seed)
 	}
 	return w.gen
 }
@@ -121,7 +131,7 @@ func (w *worker) generator(cube topology.Cube, seed int64) *Generator {
 // draw.
 func (w *worker) draw(gen *Generator, m int) (topology.NodeID, []topology.NodeID) {
 	src := gen.Source()
-	w.dests = gen.appendDests(w.dests[:0], src, m)
+	w.dests = gen.AppendDests(w.dests[:0], src, m)
 	return src, w.dests
 }
 

@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // recoverPoint runs forEachPoint and returns the recovered *pointPanic
@@ -62,5 +65,23 @@ func TestForEachPointNoPanicRunsAll(t *testing.T) {
 	}
 	if n.Load() != 32 {
 		t.Fatalf("ran %d points, want 32", n.Load())
+	}
+}
+
+// ForEachPoint's callers never touch a worker, so a call must allocate
+// less than one: its bookkeeping is a few closures, not a zeroed worker
+// with its multicast workspace.
+func TestForEachPointAllocatesNoWorker(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		ForEachPoint(4, 1, func(int) {})
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	if size := uint64(unsafe.Sizeof(worker{})); perCall >= size {
+		t.Errorf("ForEachPoint allocates %d bytes per call, at least one %d-byte worker", perCall, size)
 	}
 }

@@ -28,12 +28,12 @@ func NewGenerator(cube topology.Cube, seed int64) *Generator {
 // src — the paper's "destination sets chosen randomly". It panics if m
 // exceeds N-1.
 func (g *Generator) Dests(src topology.NodeID, m int) []topology.NodeID {
-	return g.appendDests(make([]topology.NodeID, 0, max(m, 0)), src, m)
+	return g.AppendDests(make([]topology.NodeID, 0, max(m, 0)), src, m)
 }
 
-// appendDests is Dests appending the draw to dst, so a caller that passes
+// AppendDests is Dests appending the draw to dst, so a caller that passes
 // its previous draw truncated to length 0 reuses that draw's storage.
-func (g *Generator) appendDests(dst []topology.NodeID, src topology.NodeID, m int) []topology.NodeID {
+func (g *Generator) AppendDests(dst []topology.NodeID, src topology.NodeID, m int) []topology.NodeID {
 	n := g.cube.Nodes()
 	if m < 0 || m > n-1 {
 		panic(fmt.Sprintf("workload: cannot draw %d destinations from a %d-node cube", m, n))
@@ -57,9 +57,9 @@ func (g *Generator) appendDests(dst []topology.NodeID, src topology.NodeID, m in
 	return dst
 }
 
-// reseed rebinds g to cube and restarts it at seed: it then draws exactly
+// Reseed rebinds g to cube and restarts it at seed: it then draws exactly
 // what NewGenerator(cube, seed) draws, in the storage it already has.
-func (g *Generator) reseed(cube topology.Cube, seed int64) {
+func (g *Generator) Reseed(cube topology.Cube, seed int64) {
 	g.cube = cube
 	g.rng.Seed(seed)
 }
