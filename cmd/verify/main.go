@@ -12,11 +12,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 
 	"hypercube/internal/cliutil"
 	"hypercube/internal/core"
+	"hypercube/internal/lazyrand"
 	"hypercube/internal/ncube"
 	"hypercube/internal/topology"
 	"hypercube/internal/workload"
@@ -38,7 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ins := ncube.Instrumentation{Metrics: obs.Registry}
-	rng := rand.New(rand.NewSource(*seed))
+	rng := lazyrand.New(*seed)
 	failures := 0
 	for _, res := range []topology.Resolution{topology.HighToLow, topology.LowToHigh} {
 		cube := topology.New(*dim, res)

@@ -18,9 +18,9 @@ package collective
 
 import (
 	"fmt"
-	"math/rand"
 
 	"hypercube/internal/event"
+	"hypercube/internal/lazyrand"
 	"hypercube/internal/ncube"
 	"hypercube/internal/topology"
 )
@@ -45,7 +45,7 @@ type DataResult struct {
 // combine order. The vectors share one backing array, each capped at its
 // own length.
 func RandomData(seed int64, nodes, elems int) [][]float64 {
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	flat := make([]float64, nodes*elems)
 	for i := range flat {
 		flat[i] = float64(rng.Intn(1024) - 512)

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 
 	"hypercube/internal/event"
+	"hypercube/internal/lazyrand"
 	"hypercube/internal/topology"
 )
 
@@ -166,7 +167,7 @@ func New(p Plan) *Injector {
 	p.Validate()
 	in := &Injector{
 		plan:  p,
-		rng:   rand.New(rand.NewSource(p.Seed)),
+		rng:   lazyrand.New(p.Seed),
 		links: make(map[topology.Arc][]LinkFault, len(p.Links)),
 		crash: make(map[topology.NodeID]event.Time, len(p.Nodes)),
 	}
@@ -264,7 +265,7 @@ func (c Cycles) Drop(from, to topology.NodeID, flits int, cycle int64) bool {
 // RandomLinks draws k distinct directed channels of cube c as permanent
 // link faults, deterministically from seed.
 func RandomLinks(c topology.Cube, seed int64, k int) []LinkFault {
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	total := c.Nodes() * c.Dim()
 	if k > total {
 		k = total

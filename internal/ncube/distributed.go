@@ -7,6 +7,7 @@ import (
 	"hypercube/internal/chain"
 	"hypercube/internal/core"
 	"hypercube/internal/event"
+	"hypercube/internal/lazyrand"
 	"hypercube/internal/topology"
 	"hypercube/internal/wormhole"
 )
@@ -36,6 +37,30 @@ func (jp JitterParams) Err() error {
 	return nil
 }
 
+// jitter is one run's software-delay jitter. A zero Amount builds no
+// generator and draws nothing.
+type jitter struct {
+	amount float64
+	rng    *rand.Rand
+}
+
+func (jp JitterParams) jitter() jitter {
+	if jp.Amount == 0 {
+		return jitter{}
+	}
+	return jitter{jp.Amount, lazyrand.New(jp.Seed)}
+}
+
+// of scales the software delay d by a factor drawn uniformly from
+// [1-Amount, 1+Amount].
+func (j jitter) of(d event.Time) event.Time {
+	if j.rng == nil {
+		return d
+	}
+	f := 1 + j.amount*(2*j.rng.Float64()-1)
+	return event.Time(float64(d) * f)
+}
+
 // Validate panics on a malformed configuration (internal call sites; the
 // public API boundary returns Err instead).
 func (jp JitterParams) Validate() {
@@ -53,14 +78,7 @@ func RunDistributed(jp JitterParams, cube topology.Cube, a core.Algorithm, src t
 	jp.Validate()
 	s := NewSession(jp.Params, cube, Instrumentation{})
 	q, net := &s.q, s.net
-	rng := rand.New(rand.NewSource(jp.Seed))
-	jitter := func(d event.Time) event.Time {
-		if jp.Amount == 0 {
-			return d
-		}
-		f := 1 + jp.Amount*(2*rng.Float64()-1)
-		return event.Time(float64(d) * f)
-	}
+	jitter := jp.jitter()
 	res := Result{
 		Algorithm: a,
 		Bytes:     bytes,
@@ -76,7 +94,7 @@ func RunDistributed(jp JitterParams, cube topology.Cube, a core.Algorithm, src t
 				return
 			}
 			snd := sends[i]
-			q.After(jitter(jp.TStartup), func() {
+			q.After(jitter.of(jp.TStartup), func() {
 				switch jp.Port {
 				case core.AllPort:
 					net.Send(snd.From, snd.To, bytes, deliver(snd.Payload))
@@ -102,7 +120,7 @@ func RunDistributed(jp JitterParams, cube topology.Cube, a core.Algorithm, src t
 			if d.Arrived > res.Makespan {
 				res.Makespan = d.Arrived
 			}
-			q.After(jitter(jp.TRecv), func() { launch(d.To, payload) })
+			q.After(jitter.of(jp.TRecv), func() { launch(d.To, payload) })
 		}
 	}
 

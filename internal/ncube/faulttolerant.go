@@ -2,7 +2,6 @@ package ncube
 
 import (
 	"fmt"
-	"math/rand"
 
 	"hypercube/internal/chain"
 	"hypercube/internal/core"
@@ -104,7 +103,7 @@ func RunFaultTolerantInstrumented(jp JitterParams, cube topology.Cube, a core.Al
 		q:      &s.q,
 		net:    s.net,
 		inj:    inj,
-		rng:    rand.New(rand.NewSource(jp.Seed)),
+		jitter: jp.jitter(),
 		got:    make(map[topology.NodeID]bool),
 		isDest: destSet(src, dests),
 	}
@@ -200,10 +199,10 @@ type ftRun struct {
 	src   topology.NodeID
 	bytes int
 
-	q   *event.Queue
-	net *wormhole.Network
-	inj NodeOracle
-	rng *rand.Rand
+	q      *event.Queue
+	net    *wormhole.Network
+	inj    NodeOracle
+	jitter jitter
 
 	timeout event.Time
 	backoff float64
@@ -273,14 +272,6 @@ func (r *ftRun) finish() {
 	}
 }
 
-func (r *ftRun) jitter(d event.Time) event.Time {
-	if r.jp.Amount == 0 {
-		return d
-	}
-	f := 1 + r.jp.Amount*(2*r.rng.Float64()-1)
-	return event.Time(float64(d) * f)
-}
-
 // timeoutFor returns the ack wait of retry k: base * backoff^k, capped.
 func (r *ftRun) timeoutFor(k int) event.Time {
 	if k > maxBackoffShift {
@@ -318,7 +309,7 @@ func (r *ftRun) accept(to topology.NodeID, payload chain.Chain, how DeliveryStat
 	if r.isDest[to] {
 		r.res.Status[to] = how
 	}
-	r.after(r.jitter(r.jp.TRecv), func() { r.forward(to, payload, how == StatusRerouted) })
+	r.after(r.jitter.of(r.jp.TRecv), func() { r.forward(to, payload, how == StatusRerouted) })
 }
 
 // forward computes node v's local sends from the received address field and
@@ -388,7 +379,7 @@ func (r *ftRun) reliable(from, to topology.NodeID, size int, onDeliver func(at e
 			resolve() // dead sender: the unicast dies with it
 			return
 		}
-		r.after(r.jitter(r.jp.TStartup), func() {
+		r.after(r.jitter.of(r.jp.TStartup), func() {
 			if k == 0 && onInjected != nil {
 				onInjected()
 			}
@@ -474,7 +465,7 @@ func (r *ftRun) relayMission(s core.Send, cands []topology.NodeID, i int) {
 			launched = true
 			// w unwraps the relay after its receive overhead and sends
 			// the original payload on to the child.
-			r.after(r.jitter(r.jp.TRecv), func() {
+			r.after(r.jitter.of(r.jp.TRecv), func() {
 				if r.inj.NodeDown(w, r.q.Now()) {
 					return // relay died holding the message
 				}
@@ -514,7 +505,6 @@ func (s *Session) InjectFaultTolerant(at event.Time, a core.Algorithm, src topol
 		q:      &s.q,
 		net:    s.net,
 		inj:    oracle,
-		rng:    rand.New(rand.NewSource(0)), // zero jitter: never consulted
 		got:    make(map[topology.NodeID]bool, len(dests)+1),
 		isDest: destSet(src, dests),
 	}

@@ -45,7 +45,7 @@ func TestRunAllocCeiling(t *testing.T) {
 				},
 				Faults: []FaultEvent{{Kind: FaultLink, Count: 2, Seed: 5}},
 			}
-		}, 2712},
+		}, 2688},
 		{"allreduce-hd-5cube", func() *Spec { return allReduceSpec("hd") }, 489},
 		{"allreduce-ring-5cube", func() *Spec { return allReduceSpec("ring") }, 345},
 	} {

@@ -29,13 +29,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"hypercube/internal/collective"
 	"hypercube/internal/core"
 	"hypercube/internal/event"
 	"hypercube/internal/faults"
+	"hypercube/internal/lazyrand"
 	"hypercube/internal/ncube"
 	"hypercube/internal/topology"
 	"hypercube/internal/vc"
@@ -783,7 +783,7 @@ func (s *Spec) expandArrivals(cube topology.Cube, lim Limits) error {
 	if a.Op.Src != nil && (*a.Op.Src < 0 || *a.Op.Src >= cube.Nodes()) {
 		return fmt.Errorf("traffic: arrivals src %d outside the %d-node cube", *a.Op.Src, cube.Nodes())
 	}
-	rng := rand.New(rand.NewSource(s.Seed))
+	rng := lazyrand.New(s.Seed)
 	stamp := func(i int) Op {
 		op := Op{
 			ID:        fmt.Sprintf("arr%03d", i),

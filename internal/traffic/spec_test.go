@@ -190,3 +190,20 @@ func TestCanonicalDestsMatchFreshGenerator(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCanonicalizeDestCount canonicalizes a 64-arrival Poisson spec
+// of 32-destination multicasts on a 6-cube: 64 seeded destination draws
+// plus the arrival expansion, the work the server and the traffic engine
+// do for every dest_count spec they admit.
+func BenchmarkCanonicalizeDestCount(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := &Spec{Dim: 6, Seed: 1993, Arrivals: &Arrivals{
+			Kind: "poisson", Count: 64, RatePerMS: 2,
+			Op: Template{Kind: KindMulticast, DestCount: 32},
+		}}
+		if err := s.Canonicalize(Limits{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 
 	"hypercube/internal/bits"
+	"hypercube/internal/lazyrand"
 	"hypercube/internal/topology"
 )
 
@@ -21,7 +22,7 @@ type Generator struct {
 
 // NewGenerator creates a generator for cube seeded deterministically.
 func NewGenerator(cube topology.Cube, seed int64) *Generator {
-	return &Generator{cube: cube, rng: rand.New(rand.NewSource(seed))}
+	return &Generator{cube: cube, rng: lazyrand.New(seed)}
 }
 
 // Dests draws m distinct destinations uniformly from the cube, excluding
