@@ -45,8 +45,22 @@ type DataResult struct {
 // combine order. The vectors share one backing array, each capped at its
 // own length.
 func RandomData(seed int64, nodes, elems int) [][]float64 {
+	return fillRandom(make([]float64, nodes*elems), seed, nodes, elems)
+}
+
+// RandomData is the package-level RandomData drawn into one block of the
+// pool, whatever it held before: the same vectors, as views of block. The
+// caller owns block and may hand it back with Recycle once nothing reads
+// the vectors any more.
+func (p *Pool) RandomData(seed int64, nodes, elems int) (in [][]float64, block []float64) {
+	block = p.block(nodes * elems)
+	return fillRandom(block, seed, nodes, elems), block
+}
+
+// fillRandom overwrites flat with RandomData's draw and returns its
+// per-node views.
+func fillRandom(flat []float64, seed int64, nodes, elems int) [][]float64 {
 	rng := lazyrand.New(seed)
-	flat := make([]float64, nodes*elems)
 	for i := range flat {
 		flat[i] = float64(rng.Intn(1024) - 512)
 	}
@@ -331,7 +345,7 @@ func (h *halvingDoubling) absorb(v topology.NodeID, k int, data []float64) {
 		lo, _ := ownedRange(h.cube.Neighbor(v, d), d)
 		copy(h.work[v][lo*h.b:lo*h.b+len(data)], data)
 	}
-	h.pool.recycle(data)
+	h.pool.Recycle(data)
 }
 
 // halvingDoublingOn launches the recursive-halving reduce-scatter —
@@ -471,7 +485,7 @@ func (r *ringAllReduce) absorb(v topology.NodeID, s int, data []float64) {
 	} else {
 		copy(seg, data)
 	}
-	r.e.pool.recycle(data)
+	r.e.pool.Recycle(data)
 	if s+1 < r.steps {
 		r.send(v, s+1)
 	}
@@ -598,7 +612,7 @@ func (a *allToAll) result() [][]float64 {
 		}
 	}
 	for _, data := range a.rx {
-		a.pool.recycle(data)
+		a.pool.Recycle(data)
 	}
 	return a.work
 }
@@ -675,7 +689,7 @@ func (rd *reduceData) receive(to topology.NodeID, _ int, data []float64) {
 	for i, x := range data {
 		seg[i] += x
 	}
-	rd.e.pool.recycle(data)
+	rd.e.pool.Recycle(data)
 	pr := relOf(rd.cube, rd.root, to)
 	rd.pending[pr]--
 	if rd.pending[pr] == 0 {

@@ -245,3 +245,37 @@ func TestDataOnMatchesStandalone(t *testing.T) {
 		}
 	}
 }
+
+// Pool.RandomData draws RandomData's exact values into a recycled block,
+// whatever the block held: the traffic engine's pooled inputs are thereby
+// tied to the data digest TestSeededSpecsPinned reads from RandomData.
+func TestPoolRandomDataMatchesRandomData(t *testing.T) {
+	const nodes, elems = 16, 48
+	var p Pool
+	first, block := p.RandomData(1, nodes, elems)
+	if want := RandomData(1, nodes, elems); !reflect.DeepEqual(first, want) {
+		t.Fatal("fresh block: Pool.RandomData differs from RandomData")
+	}
+	for i := range block {
+		block[i] = -1e9 // dirty the block before it goes back
+	}
+	p.Recycle(block)
+	for _, seed := range []int64{1, 7, 1993} {
+		in, b := p.RandomData(seed, nodes, elems)
+		if &b[0] != &block[0] {
+			t.Fatalf("seed %d: drew into a new block instead of the recycled one", seed)
+		}
+		if want := RandomData(seed, nodes, elems); !reflect.DeepEqual(in, want) {
+			t.Fatalf("seed %d: recycled block: Pool.RandomData differs from RandomData", seed)
+		}
+		for v := range in {
+			if cap(in[v]) != elems {
+				t.Fatalf("seed %d: vector %d has capacity %d, want %d", seed, v, cap(in[v]), elems)
+			}
+		}
+		for i := range b {
+			b[i] = float64(i)
+		}
+		p.Recycle(b)
+	}
+}

@@ -35,8 +35,8 @@ func (p *Pool) copyOf(src []float64) []float64 {
 	return b
 }
 
-// recycle returns a block to the pool; the caller must not touch it again.
-func (p *Pool) recycle(b []float64) {
+// Recycle returns a block to the pool; the caller must not touch it again.
+func (p *Pool) Recycle(b []float64) {
 	if p.blocks == nil {
 		p.blocks = make(map[int][][]float64)
 	}

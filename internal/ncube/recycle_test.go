@@ -96,7 +96,9 @@ func TestInjectedOpsRecycleMidRun(t *testing.T) {
 				// tree can pick up the execution its predecessor left.
 				s.At(event.Time(i)*50*event.Millisecond, func() {
 					s.InjectTree(s.Now(), tr, 1024, func(r *Result) {
+						// The op reuses its Recv map once recycled.
 						got[i] = *r
+						got[i].Recv = maps.Clone(r.Recv)
 						fired++
 					})
 				})

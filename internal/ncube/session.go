@@ -16,9 +16,9 @@ import (
 // RunInstrumented* one tree, RunManyInstrumented a batch sharing the
 // network, RunParallelInstrumented one session per tree — and the traffic
 // engine (internal/traffic) injects trees at arbitrary simulated times with
-// InjectTree, or schedules arbitrary callbacks with At, then drives the
-// whole scenario with Run. RunDistributed and the fault-tolerant protocol
-// borrow only its calendar and network.
+// InjectTree or InjectBuild, or schedules arbitrary callbacks with At, then
+// drives the whole scenario with Run. RunDistributed and the fault-tolerant
+// protocol borrow only its calendar and network.
 //
 // A Session is single-threaded, like the event kernel beneath it. Borrow
 // one with NewSession, schedule work, call Run exactly once, read results,
@@ -26,8 +26,10 @@ import (
 // treeOp and its node table are recycled into later trees of the same
 // session — an injected op with a done hook as soon as it goes quiet, so a
 // long scenario holds state only for the ops in flight, the rest at
-// Release. A sweep worker instead keeps one session of its own
-// (NewOwnedSession) and runs tree after tree on it with RunTree.
+// Release. Such an op keeps its Recv map, and with InjectBuild its tree
+// storage, for the next tree it runs. A sweep worker instead keeps one
+// session of its own (NewOwnedSession) and runs tree after tree on it with
+// RunTree.
 type Session struct {
 	q      event.Queue
 	net    *wormhole.Network
@@ -226,6 +228,9 @@ type treeOp struct {
 	// deliverFn is bound once per op, which recycling keeps, so no send
 	// allocates a delivery callback.
 	deliverFn func(wormhole.Delivery)
+	// ws holds the tree InjectBuild built for the op; the node table
+	// points into it until the op is recycled.
+	ws *core.Workspace
 }
 
 // opNode is one node's software state inside one treeOp. It doubles as
@@ -259,17 +264,30 @@ func (st *opNode) RunEvent() {
 
 // newOp binds a recycled (or new) treeOp to tree tr.
 func (s *Session) newOp(tr *core.Tree, bytes int, done func(*Result)) *treeOp {
-	var op *treeOp
+	op := s.takeOp()
+	op.bind(tr, bytes, done)
+	return op
+}
+
+// takeOp returns a recycled treeOp, or a new one.
+func (s *Session) takeOp() *treeOp {
 	if n := len(s.free); n > 0 {
-		op, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		op = &treeOp{s: s}
-		op.deliverFn = op.deliver
+		op := s.free[n-1]
+		s.free = s.free[:n-1]
+		return op
 	}
+	op := &treeOp{s: s}
+	op.deliverFn = op.deliver
+	return op
+}
+
+// bind sets op up to execute tree tr.
+func (op *treeOp) bind(tr *core.Tree, bytes int, done func(*Result)) {
+	s := op.s
 	expected := tr.NumUnicasts()
 	op.src, op.bytes, op.start = tr.Source, bytes, 0
 	op.expected, op.pending, op.done = expected, 0, done
-	recv := op.res.Recv // kept, emptied, by an owned session's recycle
+	recv := op.res.Recv // kept, emptied, by recycle unless it went to a caller
 	if recv == nil {
 		recv = make(map[topology.NodeID]event.Time, expected)
 	}
@@ -281,18 +299,18 @@ func (s *Session) newOp(tr *core.Tree, bytes int, done func(*Result)) *treeOp {
 	if done == nil {
 		s.ops = append(s.ops, op)
 	}
-	return op
 }
 
-// recycle scrubs the op onto its session's free list. The Recv map went
-// to the caller with the result, except on an owned session, whose
-// results are valid only until its next run: there the op keeps the map,
-// emptied, for the next tree.
+// recycle scrubs the op onto its session's free list. A result read after
+// Run took its Recv map to the caller. Where the result was valid only
+// until the next run (an owned session) or until done returned (an op
+// with a done hook), the op keeps the map, emptied, for its next tree.
 func (op *treeOp) recycle() {
 	op.nodes.release()
 	recv := op.res.Recv
+	keep := op.s.owned || op.done != nil
 	op.res, op.done = Result{}, nil
-	if op.s.owned {
+	if keep {
 		clear(recv)
 		op.res.Recv = recv
 	}
@@ -328,10 +346,25 @@ func (s *Session) start(tr *core.Tree, bytes int) *Result {
 // its last unicast — on the shared calendar.
 //
 // The session recycles the op, so the *Result is valid only until done
-// returns, or with a nil done until Release; copy the Result value out to
-// keep it (its Recv map stays the caller's).
+// returns, Recv map included: the op reuses the map for its next tree. With
+// a nil done the Result is valid until Release; copy the Result value out
+// to keep it, and its Recv map stays the caller's.
 func (s *Session) InjectTree(at event.Time, tr *core.Tree, bytes int, done func(*Result)) *Result {
 	op := s.newOp(tr, bytes, done)
+	s.q.AtOp(at, op)
+	return &op.res
+}
+
+// InjectBuild is InjectTree for the tree core.Build(cube, a, src, dests)
+// over the session's cube, which it builds now in storage the op owns and
+// reuses once recycled. dests is only read during the call. The Result
+// equals InjectTree's for that tree, under the same validity rules.
+func (s *Session) InjectBuild(at event.Time, a core.Algorithm, src topology.NodeID, dests []topology.NodeID, bytes int, done func(*Result)) *Result {
+	op := s.takeOp()
+	if op.ws == nil {
+		op.ws = new(core.Workspace)
+	}
+	op.bind(op.ws.Build(s.net.Cube(), a, src, dests), bytes, done)
 	s.q.AtOp(at, op)
 	return &op.res
 }

@@ -1,29 +1,52 @@
 package traffic
 
 import (
-	"runtime/debug"
+	"flag"
+	"os"
+	"os/exec"
+	"runtime"
 	"testing"
 )
 
-// Pooled traffic runs allocate per-op bookkeeping, trees and results, but
-// nothing per event: the session's calendar, network, tree executions and
-// their node tables are reused across runs, and a run's data-carrying ops
-// share one pool of payload blocks and message records, so after the
-// first op has warmed it an allreduce allocates per op, not per message.
-// The ceilings are the exact counts for the specs of the root package's
+// allocChild is the argument that makes TestRunAllocCeiling count in the
+// process it runs in.
+const allocChild = "count-allocs"
+
+// Pooled traffic runs allocate per-op bookkeeping and results, but nothing
+// per event: the session's calendar, network, tree executions with their
+// trees, node tables and Recv maps are reused across ops and runs, and a
+// run's data-carrying ops share one pool of payload blocks, input blocks
+// and message records, so after the first op has warmed it an allreduce
+// allocates per op, not per message. The ceilings are the exact
+// steady-state counts per run for the specs of the root package's
 // TrafficSaturation6Cube and TrafficChaosFaulted5Cube benchmarks and of
-// perfbench's two allreduce scenarios, measured in a fresh test process,
-// so any new per-send or per-event allocation trips them.
+// perfbench's two allreduce scenarios, so any new per-send or per-event
+// allocation trips them; the allreduce specs also carry a bytes ceiling,
+// which sees the payload storage an object count does not.
+//
+// Free lists keep growing over a process's first runs, and at more than
+// one P a sync.Pool miss can hand a run a fresh session, so the counts
+// are taken in a child process at GOMAXPROCS=1 with the collector off,
+// after a fixed warm-up: they depend on nothing that ran before.
 func TestRunAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled sessions at random under -race")
 	}
-	// A collection empties the pools; keep it off while counting.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if flag.Arg(0) != allocChild {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRunAllocCeiling$", "-test.count=1", "-test.v", allocChild)
+		cmd.Env = append(os.Environ(), "GOMAXPROCS=1", "GOGC=off")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("counting process: %v\n%s", err, out)
+		}
+		t.Logf("counting process:\n%s", out)
+		return
+	}
+	const warm, runs = 30, 20
 	for _, tc := range []struct {
-		name string
-		spec func() *Spec
-		want float64
+		name      string
+		spec      func() *Spec
+		objs, kib uint64 // ceilings per run; kib 0 means none
 	}{
 		{"saturation-6cube", func() *Spec {
 			return &Spec{
@@ -34,7 +57,7 @@ func TestRunAllocCeiling(t *testing.T) {
 					Op: Template{Kind: KindMulticast, DestCount: 32, Bytes: 4096},
 				},
 			}
-		}, 900},
+		}, 300, 0},
 		{"chaos-faulted-5cube", func() *Spec {
 			return &Spec{
 				Dim:  5,
@@ -45,19 +68,34 @@ func TestRunAllocCeiling(t *testing.T) {
 				},
 				Faults: []FaultEvent{{Kind: FaultLink, Count: 2, Seed: 5}},
 			}
-		}, 2688},
-		{"allreduce-hd-5cube", func() *Spec { return allReduceSpec("hd") }, 489},
-		{"allreduce-ring-5cube", func() *Spec { return allReduceSpec("ring") }, 345},
+		}, 2672, 0},
+		{"allreduce-hd-5cube", func() *Spec { return allReduceSpec("hd") }, 467, 730},
+		{"allreduce-ring-5cube", func() *Spec { return allReduceSpec("ring") }, 323, 806},
 	} {
 		// Run canonicalizes its spec in place, so each call gets a fresh
 		// one, as in the benchmarks.
-		got := testing.AllocsPerRun(20, func() {
+		run := func() {
 			if _, err := Run(tc.spec()); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if got > tc.want {
-			t.Errorf("%s: Run allocates %v objects per call, ceiling %v", tc.name, got, tc.want)
+		}
+		for i := 0; i < warm; i++ {
+			run()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		objs := (after.Mallocs - before.Mallocs) / runs
+		kib := (after.TotalAlloc - before.TotalAlloc) / runs / 1024
+		t.Logf("%s: %d objects, %d KiB per run", tc.name, objs, kib)
+		if objs > tc.objs {
+			t.Errorf("%s: Run allocates %d objects per call, ceiling %d", tc.name, objs, tc.objs)
+		}
+		if tc.kib > 0 && kib > tc.kib {
+			t.Errorf("%s: Run allocates %d KiB per call, ceiling %d", tc.name, kib, tc.kib)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"hypercube/internal/event"
 	"hypercube/internal/faults"
 	"hypercube/internal/group"
-	"hypercube/internal/metrics"
 	"hypercube/internal/ncube"
 	"hypercube/internal/stats"
 	"hypercube/internal/topology"
@@ -114,11 +113,15 @@ type opState struct {
 	deps int // unresolved dependencies
 	// dependents are indices of ops whose After names this op.
 	dependents []int
-	// trees are the pre-built multicast trees of the tree-based kinds
-	// (one for multicast/broadcast, one per group for group-phase).
+	// alg is the tree algorithm of multicast, broadcast and ft-multicast.
+	alg core.Algorithm
+	// trees are group-phase's pre-built group trees; multicast and
+	// broadcast build their one tree at start, in storage the session's
+	// recycled op owns.
 	trees []*core.Tree
 	// destSets, in faulted scenarios, lists each tree's requested
-	// destinations (aligned with trees) for delivery accounting.
+	// destinations (one set for multicast/broadcast, one per group for
+	// group-phase) for delivery accounting.
 	destSets [][]topology.NodeID
 	// injKey is the node whose injector the op occupies while running:
 	// its source/root, or the first group root.
@@ -153,9 +156,11 @@ type engine struct {
 	// dataErr is the first payload-verification failure; the run reports
 	// it as an error rather than returning silently wrong data.
 	dataErr error
-	// payloads recycles payload blocks and message records across the
-	// scenario's data-carrying ops.
+	// payloads recycles payload blocks, input vectors and message records
+	// across the scenario's data-carrying ops.
 	payloads collective.Pool
+	// dests is treeDests' buffer.
+	dests []topology.NodeID
 }
 
 // Run executes a scenario and returns its per-op and network results.
@@ -188,8 +193,8 @@ func RunBudget(spec *Spec, maxSteps int, maxTime event.Time) (*Result, error) {
 	if err := e.compile(); err != nil {
 		return nil, err
 	}
-	reg := metrics.New()
-	e.ses = ncube.NewSession(p, e.cube, ncube.Instrumentation{Metrics: reg})
+	// No metrics registry: the network keeps the NetStats totals itself.
+	e.ses = ncube.NewSession(p, e.cube, ncube.Instrumentation{})
 	if e.sched != nil {
 		e.ses.SetFaults(e.sched)
 		e.ses.SetExtraDiagnoser(e.diagnose)
@@ -205,13 +210,14 @@ func RunBudget(spec *Spec, maxSteps int, maxTime event.Time) (*Result, error) {
 		// choice is the same one ncube makes on panic — drop it.
 		return nil, err
 	}
-	res, err := e.collect(reg)
+	res, err := e.collect()
 	e.ses.Release()
 	return res, err
 }
 
-// compile resolves dependencies and pre-builds every op's trees so event
-// time does only injection work.
+// compile resolves dependencies, parses algorithms and pre-builds the
+// group-phase trees. Multicast and broadcast trees are built at start, so
+// a queued op holds no tree while it waits.
 func (e *engine) compile() error {
 	index := make(map[string]int, len(e.ops))
 	for i := range e.spec.Ops {
@@ -234,25 +240,18 @@ func (e *engine) compile() error {
 			if err != nil {
 				return fmt.Errorf("traffic: op %q: %v", op.ID, err)
 			}
-			dests := op.Dests
-			if op.Kind == KindBroadcast {
-				dests = make([]int, 0, e.cube.Nodes()-1)
-				for v := 0; v < e.cube.Nodes(); v++ {
-					if v != op.Src {
-						dests = append(dests, v)
-					}
-				}
-			}
-			st.trees = []*core.Tree{core.Build(e.cube, alg, topology.NodeID(op.Src), toNodeIDs(dests))}
+			st.alg = alg
 			if e.sched != nil {
-				st.destSets = [][]topology.NodeID{toNodeIDs(dests)}
+				st.destSets = [][]topology.NodeID{append([]topology.NodeID(nil), e.treeDests(op)...)}
 			}
 		case KindFTMulticast:
 			// The distributed protocol computes its sends on the fly;
-			// only the algorithm needs validating here.
-			if _, err := core.ParseAlgorithm(op.Algorithm); err != nil {
+			// only the algorithm needs parsing here.
+			alg, err := core.ParseAlgorithm(op.Algorithm)
+			if err != nil {
 				return fmt.Errorf("traffic: op %q: %v", op.ID, err)
 			}
+			st.alg = alg
 		case KindGroupPhase:
 			alg, err := core.ParseAlgorithm(op.Algorithm)
 			if err != nil {
@@ -327,34 +326,18 @@ func (e *engine) start(i int) {
 		},
 	}
 	switch st.op.Kind {
-	case KindMulticast, KindBroadcast, KindGroupPhase:
+	case KindMulticast, KindBroadcast:
+		st.pendingTrees = 1
+		e.ses.InjectBuild(e.ses.Now(), st.alg, topology.NodeID(st.op.Src), e.treeDests(st.op), st.op.Bytes,
+			func(r *ncube.Result) { e.treeDone(i, 0, r) })
+	case KindGroupPhase:
 		st.pendingTrees = len(st.trees)
 		for ti, tr := range st.trees {
 			ti := ti
-			e.ses.InjectTree(e.ses.Now(), tr, st.op.Bytes, func(r *ncube.Result) {
-				st.messages += len(r.Recv)
-				st.blocked += r.TotalBlocked
-				if e.sched != nil {
-					for _, d := range st.destSets[ti] {
-						if _, ok := r.Recv[d]; ok {
-							st.delivered++
-						} else {
-							st.failed++
-						}
-					}
-				}
-				st.pendingTrees--
-				if st.pendingTrees == 0 {
-					e.complete(i)
-				}
-			})
+			e.ses.InjectTree(e.ses.Now(), tr, st.op.Bytes, func(r *ncube.Result) { e.treeDone(i, ti, r) })
 		}
 	case KindFTMulticast:
-		alg, err := core.ParseAlgorithm(st.op.Algorithm)
-		if err != nil {
-			panic(err) // validated at compile
-		}
-		e.ses.InjectFaultTolerant(e.ses.Now(), alg, topology.NodeID(st.op.Src),
+		e.ses.InjectFaultTolerant(e.ses.Now(), st.alg, topology.NodeID(st.op.Src),
 			toNodeIDs(st.op.Dests), st.op.Bytes, e.oracle(), func(r *ncube.Result) {
 				st.messages += len(r.Recv)
 				st.blocked += r.TotalBlocked
@@ -380,17 +363,58 @@ func (e *engine) start(i int) {
 	}
 }
 
-// startData launches a data-carrying op: synthesize the seeded per-node
-// input vectors, compute the analytic expectation from them, hand them to
-// the payload schedule on the shared substrate (which reduces them in
-// place), and — at the instant the collective completes, before the op is
-// marked done — verify the delivered data element by element against the
-// expectation. A mismatch fails the whole run: wrong data is a scheduling
-// bug, not a statistic.
+// treeDone accounts tree ti of op i, whose result r is valid only during
+// the call, and completes the op once all its trees are done.
+func (e *engine) treeDone(i, ti int, r *ncube.Result) {
+	st := &e.ops[i]
+	st.messages += len(r.Recv)
+	st.blocked += r.TotalBlocked
+	if e.sched != nil {
+		for _, d := range st.destSets[ti] {
+			if _, ok := r.Recv[d]; ok {
+				st.delivered++
+			} else {
+				st.failed++
+			}
+		}
+	}
+	st.pendingTrees--
+	if st.pendingTrees == 0 {
+		e.complete(i)
+	}
+}
+
+// treeDests returns the destinations of a multicast or broadcast op in a
+// buffer the next call overwrites.
+func (e *engine) treeDests(op *Op) []topology.NodeID {
+	d := e.dests[:0]
+	if op.Kind == KindBroadcast {
+		for v := 0; v < e.cube.Nodes(); v++ {
+			if v != op.Src {
+				d = append(d, topology.NodeID(v))
+			}
+		}
+	} else {
+		for _, v := range op.Dests {
+			d = append(d, topology.NodeID(v))
+		}
+	}
+	e.dests = d
+	return d
+}
+
+// startData launches a data-carrying op: draw the seeded per-node input
+// vectors into a block of the run's pool, compute the analytic
+// expectation from them, hand them to the payload schedule on the shared
+// substrate (which reduces them in place), and — at the instant the
+// collective completes, before the op is marked done — verify the
+// delivered data element by element against the expectation, then return
+// the block to the pool. A mismatch fails the whole run: wrong data is a
+// scheduling bug, not a statistic.
 func (e *engine) startData(i int, sub collective.Substrate) {
 	st := &e.ops[i]
 	nodes := e.cube.Nodes()
-	in := collective.RandomData(e.spec.PayloadSeed(st.op), nodes, nodes*st.op.BlockElems())
+	in, block := e.payloads.RandomData(e.spec.PayloadSeed(st.op), nodes, nodes*st.op.BlockElems())
 	var want [][]float64
 	var dr *collective.DataResult
 	base := sub.OnDone
@@ -402,6 +426,8 @@ func (e *engine) startData(i int, sub collective.Substrate) {
 		} else {
 			st.dataOK = true
 		}
+		// Data is the input's storage, or views of it.
+		e.payloads.Recycle(block)
 		base(r)
 	}
 	switch st.op.Kind {
@@ -480,7 +506,7 @@ func (e *engine) complete(i int) {
 }
 
 // collect assembles the Result after the calendar drains.
-func (e *engine) collect(reg *metrics.Registry) (*Result, error) {
+func (e *engine) collect() (*Result, error) {
 	if e.dataErr != nil {
 		return nil, e.dataErr
 	}
@@ -534,10 +560,10 @@ func (e *engine) collect(reg *metrics.Registry) (*Result, error) {
 	net := e.ses.Network()
 	res.Net = NetStats{
 		DurationNS:    dur,
-		Delivered:     reg.Counter("net_delivered").Value(),
-		HeaderBlocks:  reg.Counter("net_header_blocks").Value(),
-		BlockedNS:     reg.Histogram("net_block_time_ns").Sum(),
-		ChannelHoldNS: reg.Histogram("net_channel_hold_ns").Sum(),
+		Delivered:     int64(net.Delivered()),
+		HeaderBlocks:  net.HeaderBlocks(),
+		BlockedNS:     int64(net.GrantedWait()),
+		ChannelHoldNS: int64(net.ChannelHold()),
 		MaxInFlight:   net.MaxInFlight(),
 		PeakQueue:     net.MaxQueueLen(),
 	}

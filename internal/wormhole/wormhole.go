@@ -252,6 +252,14 @@ type Network struct {
 	// Aggregate statistics.
 	delivered    int
 	totalBlocked event.Time
+	// headerBlocks, grantedWait and channelHold tally, without a metrics
+	// registry, what "net_header_blocks" and the sums of
+	// "net_block_time_ns" and "net_channel_hold_ns" count: every parked
+	// header, every wait that ended in a grant, and every channel hold,
+	// whatever the message's fate.
+	headerBlocks int64
+	grantedWait  event.Time
+	channelHold  event.Time
 	maxQueueLen  int
 	lost         int
 	inflight     int
@@ -396,6 +404,7 @@ func (n *Network) Reset(q *event.Queue, cube topology.Cube, cfg Config) {
 	n.tracer, n.faults = nil, nil
 	n.delivered, n.lost, n.inflight, n.maxInflight = 0, 0, 0, 0
 	n.totalBlocked, n.maxQueueLen = 0, 0
+	n.headerBlocks, n.grantedWait, n.channelHold = 0, 0, 0
 	n.wedged = nil
 	n.SetMetrics(nil)
 }
@@ -413,6 +422,20 @@ func (n *Network) Delivered() int { return n.delivered }
 // delivered messages — the simulator's direct measure of channel
 // contention.
 func (n *Network) TotalBlocked() event.Time { return n.totalBlocked }
+
+// HeaderBlocks returns the number of times a header queued on a busy
+// arc, the count "net_header_blocks" reports.
+func (n *Network) HeaderBlocks() int64 { return n.headerBlocks }
+
+// GrantedWait returns the cumulative queueing time of every header that
+// was granted the channel it waited for, the sum "net_block_time_ns"
+// reports. Unlike TotalBlocked it keeps the waits of messages that were
+// lost afterwards.
+func (n *Network) GrantedWait() event.Time { return n.grantedWait }
+
+// ChannelHold returns the cumulative occupancy of every released channel,
+// the sum "net_channel_hold_ns" reports.
+func (n *Network) ChannelHold() event.Time { return n.channelHold }
 
 // MaxQueueLen returns the deepest channel arbitration queue observed — how
 // many headers were ever simultaneously parked on one channel.
@@ -715,6 +738,7 @@ func (n *Network) park(m *message, head *channel, arc topology.Arc) {
 	if n.tracer != nil {
 		n.tracer.HeaderBlocked(arc, m.from, m.to, n.q.Now())
 	}
+	n.headerBlocks++
 	if n.mBlocks != nil {
 		n.mBlocks.Inc()
 	}
@@ -793,6 +817,7 @@ func (n *Network) releasePrefix(m *message, upto int) {
 			n.tracer.ChannelReleased(a, n.q.Now())
 		}
 		hold := n.q.Now() - ch.since
+		n.channelHold += hold
 		if n.mHoldNs != nil {
 			n.mHoldNs.Observe(int64(hold))
 		}
@@ -813,6 +838,7 @@ func (n *Network) releasePrefix(m *message, upto int) {
 		head.waiters = head.waiters[:len(head.waiters)-1]
 		wait := n.q.Now() - next.waitFrom
 		next.blocked += wait
+		n.grantedWait += wait
 		if n.mBlockNs != nil {
 			n.mBlockNs.Observe(int64(wait))
 		}

@@ -32,7 +32,7 @@ GOWORK=off go -C perfbench vet ./...
 GOWORK=off go -C perfbench test .
 
 echo '== fuzz seed corpora'
-go test -run Fuzz . ./internal/chain/ ./internal/core/ ./internal/event/ ./internal/lazyrand/
+go test -run Fuzz . ./internal/chain/ ./internal/core/ ./internal/event/ ./internal/lazyrand/ ./internal/ncube/
 
 echo '== benchmarks (smoke)'
 go test -run xxx -bench . -benchtime 1x .
