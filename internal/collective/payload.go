@@ -57,13 +57,11 @@ func (p *Pool) RandomData(seed int64, nodes, elems int) (in [][]float64, block [
 	return fillRandom(block, seed, nodes, elems), block
 }
 
-// fillRandom overwrites flat with RandomData's draw and returns its
+// fillRandom overwrites flat with RandomData's draw, element i being the
+// i-th value of lazyrand.New(seed).Intn(1024) − 512, and returns its
 // per-node views.
 func fillRandom(flat []float64, seed int64, nodes, elems int) [][]float64 {
-	rng := lazyrand.New(seed)
-	for i := range flat {
-		flat[i] = float64(rng.Intn(1024) - 512)
-	}
+	lazyrand.FillIntn(flat, seed, 1024, -512)
 	out := make([][]float64, nodes)
 	for v := range out {
 		out[v] = flat[v*elems : (v+1)*elems : (v+1)*elems]
@@ -444,7 +442,9 @@ type ringAllReduce struct {
 	expect   []int             // per node, the next step to absorb
 }
 
-func (r *ringAllReduce) mod(x int) int { return ((x % r.nodes) + r.nodes) % r.nodes }
+// mod reduces a ring position, possibly negative, modulo the node count,
+// a power of two.
+func (r *ringAllReduce) mod(x int) int { return x & (r.nodes - 1) }
 
 // chunkSent is the chunk ring position p ships at step s.
 func (r *ringAllReduce) chunkSent(p, s int) int {

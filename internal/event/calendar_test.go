@@ -19,11 +19,18 @@ type stamp struct {
 // of everything scheduled; it also tracks which events are still pending,
 // so peeks and bounded steps can be checked as they happen.
 type calendar struct {
-	tb   testing.TB
-	q    Queue
-	want []stamp // in scheduling order: want[i].id == i
-	got  []stamp
-	done []bool
+	tb       testing.TB
+	q        Queue
+	want     []stamp // in scheduling order: want[i].id == i
+	got      []stamp
+	done     []bool
+	relative []bool // by id: scheduled with After or AfterOp
+
+	// checkFiling makes observe check where each pending key waits:
+	// relative keys in a lane, absolute keys in the heap.
+	checkFiling bool
+	relInHeap   int // most relative keys seen in the heap at once
+	absInLanes  int // most absolute keys seen in the lanes at once
 
 	heapPeak   int           // largest overflow heap seen
 	laneDelays map[Time]bool // delays the lanes have held
@@ -50,6 +57,7 @@ func (c *calendar) schedule(at Time, op, relative bool, then func()) {
 	s := stamp{at, len(c.want)}
 	c.want = append(c.want, s)
 	c.done = append(c.done, false)
+	c.relative = append(c.relative, relative)
 	switch {
 	case op && relative:
 		c.q.AfterOp(at-c.q.Now(), &stampOp{c, s, then})
@@ -73,13 +81,32 @@ func (c *calendar) ran(s stamp, then func()) {
 	c.observe()
 }
 
-// observe samples the calendar's internal state: the overflow heap's size
-// and the delays the lanes hold.
+// observe samples the calendar's internal state: the overflow heap's size,
+// the delays the lanes hold and, with checkFiling, which entry points the
+// keys in the heap and the lanes came from. A key's sequence number is
+// its scheduling id plus one, since every event goes through schedule.
 func (c *calendar) observe() {
 	c.heapPeak = max(c.heapPeak, len(c.q.h))
 	for _, l := range c.q.lanes[:c.q.nlanes] {
 		c.laneDelays[l.delay] = true
 	}
+	if !c.checkFiling {
+		return
+	}
+	rel, abs := 0, 0
+	for _, k := range c.q.h {
+		if c.relative[k.seq-1] {
+			rel++
+		}
+	}
+	for _, l := range c.q.lanes[:c.q.nlanes] {
+		for i := range l.n {
+			if !c.relative[l.ring[(l.head+i)&(len(l.ring)-1)].seq-1] {
+				abs++
+			}
+		}
+	}
+	c.relInHeap, c.absInLanes = max(c.relInHeap, rel), max(c.absInLanes, abs)
 }
 
 // next returns the earliest pending event by the oracle.
@@ -189,16 +216,24 @@ func TestRandomCalendarRunsInTotalOrder(t *testing.T) {
 	}
 
 	t.Run("lanes-only", func(t *testing.T) {
-		// At most maxLanes distinct delays: every key rides a lane.
+		// At most maxLanes distinct delays: every relative key rides a
+		// lane, and every absolute key waits in the heap.
 		delays := []Time{0, 1, 2, 3, 5, 8, 13, 21}
 		if len(delays) > maxLanes {
 			t.Fatal("more delays than lanes")
 		}
 		c := newCalendar(t)
+		c.checkFiling = true
 		spawnTree(c, rand.New(rand.NewSource(5)), 500, func(Time) []Time { return delays })
 		c.finish()
-		if c.heapPeak != 0 {
-			t.Errorf("%d distinct delays reached the overflow heap (peak %d keys)", len(delays), c.heapPeak)
+		if c.relInHeap != 0 {
+			t.Errorf("%d distinct delays put relative keys in the overflow heap (peak %d keys)", len(delays), c.relInHeap)
+		}
+		if c.absInLanes != 0 {
+			t.Errorf("absolute keys rode the lanes (peak %d keys)", c.absInLanes)
+		}
+		if c.heapPeak == 0 {
+			t.Error("no absolute key reached the overflow heap")
 		}
 		if len(c.q.slots) != c.peak {
 			t.Errorf("slab grew to %d slots for at most %d pending events", len(c.q.slots), c.peak)
@@ -289,6 +324,47 @@ func TestRandomCalendarRunsInTotalOrder(t *testing.T) {
 			t.Error("no key reached the overflow heap")
 		}
 	})
+}
+
+// A Poisson traffic run schedules all its arrivals with At before the
+// first step, at as many distinct times. They must not claim the delay
+// lanes: the run's relative events, on a few fixed delays, ride lanes from
+// the first step on, and the arrivals wait in the heap.
+func TestAbsoluteArrivalsLeaveLanesFree(t *testing.T) {
+	delays := []Time{0, 7, 30, 90}
+	c := newCalendar(t)
+	c.checkFiling = true
+	rng := rand.New(rand.NewSource(9))
+	var relay func()
+	relay = func() {
+		for k := rng.Intn(3); k > 0 && len(c.want) < 4000; k-- {
+			c.schedule(c.q.Now()+delays[rng.Intn(len(delays))], rng.Intn(2) == 0, true, relay)
+		}
+	}
+	const arrivals = 64
+	for i := range arrivals {
+		c.schedule(Time(50+i*37+i*i), i%2 == 0, false, func() {
+			for range 3 {
+				c.schedule(c.q.Now()+delays[rng.Intn(len(delays))], rng.Intn(2) == 0, true, relay)
+			}
+		})
+	}
+	for _, d := range delays {
+		c.schedule(d, false, true, relay)
+	}
+	if got := len(c.q.h); got != arrivals {
+		t.Errorf("heap holds %d keys before the first step, want the %d arrivals", got, arrivals)
+	}
+	c.finish()
+	if c.relInHeap != 0 {
+		t.Errorf("relative keys on %d delays reached the heap (peak %d keys)", len(delays), c.relInHeap)
+	}
+	if c.absInLanes != 0 {
+		t.Errorf("arrivals rode the lanes (peak %d keys)", c.absInLanes)
+	}
+	if len(c.laneDelays) != len(delays) {
+		t.Errorf("lanes held %d distinct delays, want %d", len(c.laneDelays), len(delays))
+	}
 }
 
 // FuzzCalendarOrder runs a byte-coded program of scheduling calls (all four

@@ -66,9 +66,13 @@ type payload struct {
 }
 
 // maxLanes bounds the calendar's delay lanes. Every event a multicast run
-// schedules uses one of a handful of constant delays (software startup,
-// receive overhead, per-hop header advance, tail drain), so a few lanes
-// take every push of the figure sweeps.
+// schedules by delay uses one of a handful of constant delays (software
+// startup, receive overhead, per-hop header advance, tail drain), so a few
+// lanes take every push of the figure sweeps. Only relative keys (After,
+// AfterOp) take lanes: an absolute time (At, AtOp) such as a traffic
+// arrival is in general a fresh delay from now, and a batch of them
+// scheduled up front would claim every lane and push the run's fixed
+// delays into the heap until they drained.
 const maxLanes = 8
 
 // lane is a FIFO ring of keys that were all scheduled with one delay. The
@@ -98,10 +102,10 @@ func (l *lane) push(k key) {
 //
 // The calendar keeps pointer-free keys in up to maxLanes per-delay FIFO
 // lanes, with a typed binary min-heap (sifted by moving a hole rather than
-// swapping) for keys whose delay finds no lane. The next event is the
-// smallest key among the lane fronts and the heap top; since keys are
-// totally ordered, this is exactly the order one heap of all keys would
-// give. Each key names a slot in a payload slab whose vacated slots are
+// swapping) for absolute-time keys and relative keys whose delay finds no
+// lane. The next event is the smallest key among the lane fronts and the
+// heap top; since keys are totally ordered, this is exactly the order one
+// heap of all keys would give. Each key names a slot in a payload slab whose vacated slots are
 // recycled through a free list. Pushing allocates nothing once the slices
 // have grown, and their capacity survives Reset for pooled reuse across
 // simulation runs.
@@ -122,9 +126,10 @@ type Queue struct {
 	mDepth *metrics.Gauge
 }
 
-// push stores p in a free slot and files its key: in the lane holding the
-// key's delay, else in a drained or unassigned lane, else in the heap.
-func (q *Queue) push(at Time, p payload) {
+// push stores p in a free slot and files its key. A relative key goes to
+// the lane holding its delay, else to a drained or unassigned lane, else
+// to the heap; an absolute key goes to the heap.
+func (q *Queue) push(at Time, p payload, relative bool) {
 	var slot int32
 	if n := len(q.free); n > 0 {
 		slot = q.free[n-1]
@@ -136,6 +141,10 @@ func (q *Queue) push(at Time, p payload) {
 	}
 	k := key{at: at, seq: q.seq, slot: slot}
 	q.pending++
+	if !relative {
+		q.pushHeap(k)
+		return
+	}
 	d := at - q.now
 	free := -1
 	for i := range q.lanes[:q.nlanes] {
@@ -261,13 +270,15 @@ func (q *Queue) Now() Time { return q.now }
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return q.pending }
 
-// schedule validates t and inserts one calendar entry.
-func (q *Queue) schedule(t Time, op Op, fn func()) {
+// schedule validates t and inserts one calendar entry; relative says
+// whether it was scheduled by delay (After, AfterOp) or at an absolute
+// time (At, AtOp).
+func (q *Queue) schedule(t Time, op Op, fn func(), relative bool) {
 	if t < q.now {
 		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, q.now))
 	}
 	q.seq++
-	q.push(t, payload{op: op, fn: fn})
+	q.push(t, payload{op: op, fn: fn}, relative)
 	if q.mDepth != nil {
 		q.mDepth.SetMax(int64(q.pending))
 	}
@@ -275,25 +286,25 @@ func (q *Queue) schedule(t Time, op Op, fn func()) {
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently corrupt causality.
-func (q *Queue) At(t Time, fn func()) { q.schedule(t, nil, fn) }
+func (q *Queue) At(t Time, fn func()) { q.schedule(t, nil, fn, false) }
 
 // After schedules fn to run d after the current time.
 func (q *Queue) After(d Time, fn func()) {
 	if d < 0 {
 		panic("event: negative delay")
 	}
-	q.schedule(q.now+d, nil, fn)
+	q.schedule(q.now+d, nil, fn, true)
 }
 
 // AtOp schedules op to run at absolute time t without allocating.
-func (q *Queue) AtOp(t Time, op Op) { q.schedule(t, op, nil) }
+func (q *Queue) AtOp(t Time, op Op) { q.schedule(t, op, nil, false) }
 
 // AfterOp schedules op to run d after the current time without allocating.
 func (q *Queue) AfterOp(d Time, op Op) {
 	if d < 0 {
 		panic("event: negative delay")
 	}
-	q.schedule(q.now+d, op, nil)
+	q.schedule(q.now+d, op, nil, true)
 }
 
 // Step runs the single earliest event, advancing the clock. It reports

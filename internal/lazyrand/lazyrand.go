@@ -41,6 +41,50 @@ func New(seed int64) *rand.Rand {
 	return rand.New(s)
 }
 
+// FillIntn sets dst[i] to base + v_i, where v_0, v_1, … are the values
+// New(seed).Intn(n) draws, in order; a float64 holds each exactly. It
+// accepts only powers of two n in [1, 2³⁰], where Intn returns the top
+// bits of one Int63 draw, and panics on any other n. The first regLen
+// draws take the source's lazy path; after them each value is math/rand's
+// plain register step, run in place with no rand.Rand or Source call per
+// draw. base saves a caller that shifts the values a second pass over dst.
+func FillIntn(dst []float64, seed int64, n int, base int64) {
+	if n <= 0 || n > 1<<30 || n&(n-1) != 0 {
+		panic("lazyrand: FillIntn needs a power of two n in [1, 2^30]")
+	}
+	// Intn(n) is Int31n(n), which for a power of two is Int31() & (n−1),
+	// and Int31 is Int63 >> 32: bits 32 to 61 of the register word under
+	// the largest mask, so Int63's clearing of bit 63 never shows.
+	m := int64(n - 1)
+	var s source
+	s.Seed(seed)
+	first := min(len(dst), regLen)
+	for i := range dst[:first] {
+		dst[i] = float64(base + s.Int63()>>32&m)
+	}
+	// The steady state: both indices step down, wrapping from 0 to
+	// regLen−1, so each inner loop runs until one of them wraps.
+	vec := &s.vec
+	tap, feed := s.tap, s.feed
+	for rest := dst[first:]; len(rest) > 0; {
+		if tap == 0 {
+			tap = regLen
+		}
+		if feed == 0 {
+			feed = regLen
+		}
+		k := min(tap, feed, len(rest))
+		for i := range rest[:k] {
+			tap--
+			feed--
+			x := vec[feed] + vec[tap]
+			vec[feed] = x
+			rest[i] = float64(base + x>>32&m)
+		}
+		rest = rest[k:]
+	}
+}
+
 // source is math/rand's rngSource with a lazily written register. After
 // Seed, the feed reaches every word once in the first regLen draws, and
 // no draw reads a word before its first write except the tap, which during

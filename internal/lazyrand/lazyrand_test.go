@@ -133,6 +133,64 @@ func FuzzStreamMatchesMathRand(f *testing.F) {
 	})
 }
 
+// fillLengths straddle the register's phases: empty, the first draw, the
+// tap's lazy reads (through 273), the feed's first pass (334), the end of
+// the lazy path (607) and the steady state after one and many passes.
+var fillLengths = []int{0, 1, regTap - 1, regTap, regLen - regTap, regLen - 1, regLen, regLen + 1, 2*regLen + 3, 32768}
+
+// checkFill compares FillIntn's output for (seed, n), with a base of
+// −n/2, with a rand.Rand loop over math/rand, element by element.
+func checkFill(t *testing.T, seed int64, n int, dst []float64, want *rand.Rand) {
+	t.Helper()
+	FillIntn(dst, seed, n, -int64(n/2))
+	for i, got := range dst {
+		if w := float64(want.Intn(n) - n/2); got != w {
+			t.Fatalf("seed %d, n %d, len %d: value %d is %v, want %v", seed, n, len(dst), i, got, w)
+		}
+	}
+}
+
+// FillIntn writes exactly math/rand's Intn stream for every seed, at every
+// n it accepts (each power of two up to 2³⁰), over lengths that end in
+// every phase of the register.
+func TestFillIntnMatchesMathRand(t *testing.T) {
+	dst := make([]float64, fillLengths[len(fillLengths)-1])
+	for _, seed := range seeds {
+		for k := range 31 {
+			for _, l := range fillLengths {
+				checkFill(t, seed, 1<<k, dst[:l], rand.New(rand.NewSource(seed)))
+			}
+		}
+	}
+}
+
+// FillIntn refuses every n whose Intn is not the top bits of one draw, so
+// it cannot silently return a different stream.
+func TestFillIntnRejectsOtherN(t *testing.T) {
+	for _, n := range []int{0, -1, -1024, 3, 6, 1000, 1023, 1<<30 + 1, 1 << 31, 1 << 40, math.MaxInt} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FillIntn accepted n = %d", n)
+				}
+			}()
+			FillIntn(make([]float64, 4), 1, n, 0)
+		}()
+	}
+}
+
+// FuzzFillIntnMatchesMathRand checks FillIntn against math/rand over
+// arbitrary seeds, lengths and accepted n.
+func FuzzFillIntnMatchesMathRand(f *testing.F) {
+	f.Add(int64(0), uint16(0), uint8(10))
+	f.Add(int64(math.MinInt64), uint16(regLen), uint8(0))
+	f.Add(int64(lcgMod), uint16(regLen+1), uint8(30))
+	f.Add(int64(1993), uint16(5000), uint8(10))
+	f.Fuzz(func(t *testing.T, seed int64, length uint16, k uint8) {
+		checkFill(t, seed, 1<<(k%31), make([]float64, length), rand.New(rand.NewSource(seed)))
+	})
+}
+
 var sink int
 
 // BenchmarkSeedDraw32 seeds and draws 32 destinations' worth of Intn, the
@@ -170,4 +228,24 @@ func BenchmarkSteadyInt63(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFillIntn is RandomData's draw for one 5-cube allreduce of
+// 256-byte blocks: 32,768 values of Intn(1024) − 512, by FillIntn and by
+// a rand.Rand loop over New.
+func BenchmarkFillIntn(b *testing.B) {
+	dst := make([]float64, 32768)
+	b.Run("bulk", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			FillIntn(dst, int64(i), 1024, -512)
+		}
+	})
+	b.Run("loop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rng := New(int64(i))
+			for k := range dst {
+				dst[k] = float64(rng.Intn(1024) - 512)
+			}
+		}
+	})
 }

@@ -69,8 +69,8 @@ func TestRunAllocCeiling(t *testing.T) {
 				Faults: []FaultEvent{{Kind: FaultLink, Count: 2, Seed: 5}},
 			}
 		}, 2672, 0},
-		{"allreduce-hd-5cube", func() *Spec { return allReduceSpec("hd") }, 467, 730},
-		{"allreduce-ring-5cube", func() *Spec { return allReduceSpec("ring") }, 323, 806},
+		{"allreduce-hd-5cube", func() *Spec { return allReduceSpec("hd") }, 459, 688},
+		{"allreduce-ring-5cube", func() *Spec { return allReduceSpec("ring") }, 315, 764},
 	} {
 		// Run canonicalizes its spec in place, so each call gets a fresh
 		// one, as in the benchmarks.

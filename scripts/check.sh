@@ -34,6 +34,12 @@ GOWORK=off go -C perfbench test .
 echo '== fuzz seed corpora'
 go test -run Fuzz . ./internal/chain/ ./internal/core/ ./internal/event/ ./internal/lazyrand/ ./internal/ncube/
 
+echo '== fuzz (bounded): calendar order, bulk seeded draws'
+# A few seconds of fresh inputs each for the calendar's lane/heap filing
+# and lazyrand's bulk Intn draw, both checked against exact oracles.
+go test -run '^$' -fuzz '^FuzzCalendarOrder$' -fuzztime 5s ./internal/event/
+go test -run '^$' -fuzz '^FuzzFillIntnMatchesMathRand$' -fuzztime 5s ./internal/lazyrand/
+
 echo '== benchmarks (smoke)'
 go test -run xxx -bench . -benchtime 1x .
 
