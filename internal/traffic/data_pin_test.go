@@ -11,11 +11,13 @@ import (
 // SHA-256 of the canonical spec and Result, encoded together as
 // cmd/traffic -spec prints them, of two Poisson allreduce streams (the
 // perfbench traffic scenarios at seed 1993), a Poisson reduce-scatter
-// stream and a closed-loop all-to-all stream. TestSeededSpecsPinned pins
-// these specs' inputs; this pins every arrival, start, finish, blocked
-// time, payload check and network counter they produce, so a change to
-// the event calendar, the payload draws or the data collectives that
-// moves a simulated number breaks it.
+// stream, a closed-loop all-to-all stream, and two overlapping
+// scatter→gather→allgather chains on two lanes contending with Poisson
+// multicasts (the timing-only collectives on a shared, blocking network).
+// TestSeededSpecsPinned pins these specs' inputs; this pins every
+// arrival, start, finish, blocked time, payload check and network counter
+// they produce, so a change to the event calendar, the payload draws or
+// the collectives that moves a simulated number breaks it.
 func TestDataOpResultsPinned(t *testing.T) {
 	cases := []struct {
 		name, spec, want string
@@ -30,6 +32,16 @@ func TestDataOpResultsPinned(t *testing.T) {
 		{"alltoall-closed-loop", `{"dim":4,"seed":77,"arrivals":{"kind":"closed-loop","count":12,"clients":3,"think_us":40,
 			"op":{"kind":"alltoall","bytes":32}}}`,
 			"276c18c12b9632d8c35048d8fa66d1f334f247263b6631264fee49cc8f803842"},
+		{"chains-contended", `{"dim":5,"seed":11,"lanes":2,"ops":[
+			{"id":"scatter","kind":"scatter","src":9,"bytes":512},
+			{"id":"gather","kind":"gather","src":9,"bytes":512,"after":["scatter"],"delay_us":20},
+			{"id":"allgather","kind":"allgather","bytes":512,"after":["gather"]},
+			{"id":"scatter2","kind":"scatter","src":22,"bytes":768,"at_us":150},
+			{"id":"gather2","kind":"gather","src":22,"bytes":768,"after":["scatter2"]},
+			{"id":"allgather2","kind":"allgather","bytes":256,"after":["gather2"],"delay_us":10}],
+			"arrivals":{"kind":"poisson","count":64,"rate_per_ms":2,
+			"op":{"kind":"multicast","algorithm":"w-sort","bytes":2048,"dest_count":12}}}`,
+			"6656216a9c2d5946d764d2bc1faa53655b9c2a439d896899301334fed859065a"},
 	}
 	for _, c := range cases {
 		s, err := Parse([]byte(c.spec))
@@ -44,7 +56,7 @@ func TestDataOpResultsPinned(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		for _, op := range res.Ops {
-			if !op.DataVerified {
+			if dataKind(op.Kind) && !op.DataVerified {
 				t.Fatalf("%s: op %s not payload-verified", c.name, op.ID)
 			}
 		}
