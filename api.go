@@ -1,6 +1,8 @@
 package hypercube
 
 import (
+	"fmt"
+
 	"hypercube/internal/collective"
 	"hypercube/internal/core"
 	"hypercube/internal/event"
@@ -343,12 +345,15 @@ func ReduceScatter(p MachineParams, c Cube, in [][]float64, tCompute Time) (Coll
 
 // AllReduceData sum-reduces the per-node input vectors, leaving the full
 // result everywhere, via recursive halving + doubling ("hd") or the
-// Gray-code ring pipeline ("ring").
+// Gray-code ring pipeline ("ring"). Any other variant is an error.
 func AllReduceData(p MachineParams, c Cube, in [][]float64, tCompute Time, variant string) (CollectiveDataResult, error) {
-	if variant == "ring" {
+	switch variant {
+	case "hd":
+		return collective.AllReduceHD(p, c, in, tCompute)
+	case "ring":
 		return collective.AllReduceRing(p, c, in, tCompute)
 	}
-	return collective.AllReduceHD(p, c, in, tCompute)
+	return CollectiveDataResult{}, fmt.Errorf("unknown allreduce variant %q (want hd or ring)", variant)
 }
 
 // AllToAll performs the complete personalized exchange: node s's block t

@@ -94,6 +94,31 @@ func TestCollectiveFacades(t *testing.T) {
 	}
 }
 
+// AllReduceData runs the named variant, and names the two it knows when
+// given any other rather than quietly running one of them.
+func TestAllReduceDataVariants(t *testing.T) {
+	cube := hypercube.New(4, hypercube.HighToLow)
+	p := hypercube.NCube2Params(hypercube.AllPort)
+	in := hypercube.RandomCollectiveData(3, cube.Nodes(), cube.Nodes()*2)
+	hd, err := hypercube.AllReduceData(p, cube, in, 0, "hd")
+	if err != nil {
+		t.Fatalf("hd: %v", err)
+	}
+	ring, err := hypercube.AllReduceData(p, cube, in, 0, "ring")
+	if err != nil {
+		t.Fatalf("ring: %v", err)
+	}
+	if hd.Messages == ring.Messages {
+		t.Errorf("hd and ring both sent %d messages; one variant ran twice", hd.Messages)
+	}
+	for _, variant := range []string{"rnig", "", "HD"} {
+		_, err := hypercube.AllReduceData(p, cube, in, 0, variant)
+		if err == nil || !strings.Contains(err.Error(), "want hd or ring") {
+			t.Errorf("variant %q: error %v, want an unknown-variant error", variant, err)
+		}
+	}
+}
+
 func TestSimulateManyFacade(t *testing.T) {
 	cube := hypercube.New(5, hypercube.HighToLow)
 	p := hypercube.NCube2Params(hypercube.AllPort)

@@ -1,15 +1,15 @@
 // Data-carrying reduction collectives: the schedules here move real
 // per-node vectors through the simulated network, not just byte counts.
-// Payloads ride in pooled message records (pool.go) beside their byte
-// counts — the wormhole model only ever sees message sizes — so a
-// data-carrying execution produces exactly the event schedule its
-// timing-only counterpart would, while the final per-node vectors expose
-// any block delivered to the wrong node at the wrong round. Every
-// standalone entry point verifies its result against the closed-form
-// expectation (Expected*) element by element before returning, and
-// leaves its input untouched; substrate launches take ownership of their
-// input, reduce it in place and leave verification to the caller, who
-// computes the expectation before the launch.
+// Payloads ride in the executor's message records (pool.go) beside their
+// byte counts — the wormhole model only ever sees message sizes — so a
+// data-carrying execution produces exactly the event schedule of the
+// timing-only declaration with the same sizes, while the final per-node
+// vectors expose any block delivered to the wrong node at the wrong
+// round. Every standalone entry point verifies its result against the
+// closed-form expectation (Expected*) element by element before
+// returning, and leaves its input untouched; substrate launches take
+// ownership of their input, reduce it in place and leave verification to
+// the caller, who computes the expectation before the launch.
 //
 // Arithmetic note: verification demands exact float64 equality, which
 // holds regardless of combine order whenever the inputs are integer-valued
@@ -212,84 +212,15 @@ func attachData(e *engine, capture func() [][]float64) *DataResult {
 	return dr
 }
 
-// runData runs a data schedule standalone: launch gets a private engine
-// and a copy of in (the schedules reduce in place), and the result is
-// verified against want, which the caller computed from in before the
-// launch. The caller's vectors are never touched.
+// runData runs a data schedule's launch standalone on a copy of in (the
+// schedules reduce in place) and verifies the result against want, which
+// the caller computed from in before the launch. The caller's vectors are
+// never touched.
 func runData(p ncube.Params, cube topology.Cube, in, want [][]float64,
-	launch func(e *engine, work [][]float64) *DataResult) (DataResult, error) {
-	e := newEngine(p, cube, cube.Nodes())
-	dr := launch(e, copyVecs(in))
-	e.finish()
+	launch func(sub Substrate, work [][]float64) *DataResult) (DataResult, error) {
+	work := copyVecs(in)
+	dr := standalone(p, cube, func(sub Substrate) *DataResult { return launch(sub, work) })
 	return *dr, VerifyData(dr.Data, want)
-}
-
-// exchangeSched is a pairwise-exchange data schedule: in round k every
-// node ships outbound(v, k) to its neighbor across dimension dim(k), then
-// absorbs its partner's round-k payload.
-type exchangeSched interface {
-	dim(k int) int
-	outbound(v topology.NodeID, k int) []float64
-	absorb(v topology.NodeID, k int, data []float64)
-}
-
-// exchange runs an exchangeSched: every node enters round k+1 only after
-// both issuing its round-k send and absorbing its partner's round-k
-// payload (TRecv + tCompute after the tail arrives). Out-of-order receipts
-// are buffered and absorbed in round order, exactly mirroring
-// exchangeRoundsOn's advancement — absorbing is pure data movement, so the
-// event schedule matches a timing-only exchange with the same per-round
-// byte counts.
-type exchange struct {
-	e        *engine
-	cube     topology.Cube
-	s        exchangeSched
-	rounds   int
-	tCompute event.Time
-	buf      [][]float64 // buf[v*rounds+k]: node v's round-k receipt until absorbed
-	round    []int       // per node, the next round not yet started
-}
-
-func dataExchangeOn(e *engine, cube topology.Cube, rounds int, s exchangeSched, tCompute event.Time) {
-	nodes := cube.Nodes()
-	x := &exchange{
-		e: e, cube: cube, s: s, rounds: rounds, tCompute: tCompute,
-		buf:   make([][]float64, nodes*rounds),
-		round: make([]int, nodes),
-	}
-	for v := 0; v < nodes; v++ {
-		x.start(topology.NodeID(v))
-	}
-}
-
-func (x *exchange) start(v topology.NodeID) {
-	k := x.round[v]
-	x.e.sendData(x, v, x.cube.Neighbor(v, x.s.dim(k)), k, x.s.outbound(v, k), x.tCompute, false)
-}
-
-func (x *exchange) receive(to topology.NodeID, k int, data []float64) {
-	x.buf[int(to)*x.rounds+k] = data
-	if k == x.round[to] {
-		x.advance(to)
-	}
-}
-
-func (x *exchange) advance(v topology.NodeID) {
-	for {
-		k := x.round[v]
-		i := int(v)*x.rounds + k
-		if x.buf[i] == nil {
-			return
-		}
-		x.s.absorb(v, k, x.buf[i])
-		x.buf[i] = nil
-		x.round[v]++
-		if x.round[v] == x.rounds {
-			x.e.finished(v, x.e.q.Now())
-			return
-		}
-		x.start(v)
-	}
 }
 
 // ownedRange returns the contiguous block range [lo, hi) whose indices
@@ -320,7 +251,7 @@ func (h *halvingDoubling) dim(k int) int {
 	return k - h.n
 }
 
-func (h *halvingDoubling) outbound(v topology.NodeID, k int) []float64 {
+func (h *halvingDoubling) outbound(v topology.NodeID, k int) (int, []float64) {
 	d := h.dim(k)
 	var lo, hi int
 	if k < h.n {
@@ -328,7 +259,7 @@ func (h *halvingDoubling) outbound(v topology.NodeID, k int) []float64 {
 	} else {
 		lo, hi = ownedRange(v, d) // v's fully-reduced range
 	}
-	return h.pool.copyOf(h.work[v][lo*h.b : hi*h.b])
+	return (hi - lo) * h.b * ElemBytes, h.pool.copyOf(h.work[v][lo*h.b : hi*h.b])
 }
 
 func (h *halvingDoubling) absorb(v topology.NodeID, k int, data []float64) {
@@ -351,7 +282,9 @@ func (h *halvingDoubling) absorb(v topology.NodeID, k int, data []float64) {
 // reduced blocks (the bandwidth-optimal halving+doubling allreduce). It
 // takes ownership of in and reduces it in place: Data is in itself, or for
 // scatterOnly each node's view of its own block.
-func halvingDoublingOn(e *engine, cube topology.Cube, in [][]float64, tCompute event.Time, scatterOnly bool) *DataResult {
+func halvingDoublingOn(sub Substrate, in [][]float64, tCompute event.Time, scatterOnly bool) *DataResult {
+	cube := sub.Net.Cube()
+	e := newEngine(sub)
 	h := &halvingDoubling{cube: cube, pool: e.pool, work: in, b: blockOf(cube, in), n: cube.Dim()}
 	capture := func() [][]float64 {
 		if !scatterOnly {
@@ -368,7 +301,7 @@ func halvingDoublingOn(e *engine, cube topology.Cube, in [][]float64, tCompute e
 	if scatterOnly {
 		rounds = h.n
 	}
-	dataExchangeOn(e, cube, rounds, h, tCompute)
+	exchangeOn(e, rounds, h, tCompute)
 	return dr
 }
 
@@ -379,26 +312,22 @@ func halvingDoublingOn(e *engine, cube topology.Cube, in [][]float64, tCompute e
 // left untouched; the result is verified against ExpectedReduceScatter
 // before returning.
 func ReduceScatter(p ncube.Params, cube topology.Cube, in [][]float64, tCompute event.Time) (DataResult, error) {
-	if tCompute < 0 {
-		panic("collective: negative reduce-scatter compute time")
-	}
 	blockOf(cube, in)
-	return runData(p, cube, in, ExpectedReduceScatter(in), func(e *engine, work [][]float64) *DataResult {
-		return halvingDoublingOn(e, cube, work, tCompute, true)
+	return runData(p, cube, in, ExpectedReduceScatter(in), func(sub Substrate, work [][]float64) *DataResult {
+		return ReduceScatterOn(sub, work, tCompute)
 	})
 }
 
-// ReduceScatterOn launches ReduceScatter's schedule on a shared substrate
-// at the calendar's current time; the caller drives the queue and — since
-// it holds the inputs — verifies Data against ExpectedReduceScatter,
+// ReduceScatterOn launches ReduceScatter's schedule on a substrate at the
+// calendar's current time; the caller drives the queue and — since it
+// holds the inputs — verifies Data against ExpectedReduceScatter,
 // computed before the launch: the schedule takes ownership of in and
 // reduces it in place, and Data[v] is a view of in[v].
 func ReduceScatterOn(sub Substrate, in [][]float64, tCompute event.Time) *DataResult {
 	if tCompute < 0 {
 		panic("collective: negative reduce-scatter compute time")
 	}
-	e := newEngineOn(sub)
-	return halvingDoublingOn(e, sub.Net.Cube(), in, tCompute, true)
+	return halvingDoublingOn(sub, in, tCompute, true)
 }
 
 // AllReduceHD is the data-carrying halving+doubling allreduce: a
@@ -408,16 +337,13 @@ func ReduceScatterOn(sub Substrate, in [][]float64, tCompute event.Time) *DataRe
 // ends with the elementwise total, verified before returning; in is left
 // untouched.
 func AllReduceHD(p ncube.Params, cube topology.Cube, in [][]float64, tCompute event.Time) (DataResult, error) {
-	if tCompute < 0 {
-		panic("collective: negative allreduce compute time")
-	}
 	blockOf(cube, in)
-	return runData(p, cube, in, ExpectedAllReduce(in), func(e *engine, work [][]float64) *DataResult {
-		return halvingDoublingOn(e, cube, work, tCompute, false)
+	return runData(p, cube, in, ExpectedAllReduce(in), func(sub Substrate, work [][]float64) *DataResult {
+		return AllReduceHDOn(sub, work, tCompute)
 	})
 }
 
-// AllReduceHDOn launches AllReduceHD's schedule on a shared substrate; the
+// AllReduceHDOn launches AllReduceHD's schedule on a substrate; the
 // caller drives the queue and verifies Data against ExpectedAllReduce,
 // computed before the launch: the schedule takes ownership of in, reduces
 // it in place and returns it as Data.
@@ -425,17 +351,16 @@ func AllReduceHDOn(sub Substrate, in [][]float64, tCompute event.Time) *DataResu
 	if tCompute < 0 {
 		panic("collective: negative allreduce compute time")
 	}
-	e := newEngineOn(sub)
-	return halvingDoublingOn(e, sub.Net.Cube(), in, tCompute, false)
+	return halvingDoublingOn(sub, in, tCompute, false)
 }
 
-// ringAllReduce is allReduceRingOn's schedule state.
+// ringAllReduce is AllReduceRingOn's schedule: the Gray-code ring's own
+// receive rule, on the one executor.
 type ringAllReduce struct {
 	e        *engine
 	work     [][]float64 // the nodes' vectors, reduced in place
 	b, nodes int
 	steps    int
-	tCompute event.Time
 	order    []topology.NodeID // ring position -> node (Gray code)
 	pos      []int             // node -> ring position
 	stash    [][]float64       // stash[v*steps+s]: node v's step-s receipt until absorbed
@@ -458,7 +383,7 @@ func (r *ringAllReduce) send(v topology.NodeID, s int) {
 	p := r.pos[v]
 	c := r.chunkSent(p, s)
 	payload := r.e.pool.copyOf(r.work[v][c*r.b : (c+1)*r.b])
-	r.e.sendData(r, v, r.order[r.mod(p+1)], s, payload, r.tCompute, false)
+	r.e.send(v, r.order[r.mod(p+1)], s, len(payload)*ElemBytes, payload)
 }
 
 func (r *ringAllReduce) receive(to topology.NodeID, s int, data []float64) {
@@ -494,7 +419,19 @@ func (r *ringAllReduce) absorb(v topology.NodeID, s int, data []float64) {
 	}
 }
 
-// allReduceRingOn runs the ring allreduce on the binary-reflected
+// AllReduceRing is the data-carrying ring allreduce on the Gray-code
+// Hamiltonian cycle: bandwidth-identical to halving+doubling (2(N-1)
+// single-block steps per node) but latency-heavier — the classic
+// large-vector gradient-aggregation schedule. Verified before returning;
+// in is left untouched.
+func AllReduceRing(p ncube.Params, cube topology.Cube, in [][]float64, tCompute event.Time) (DataResult, error) {
+	blockOf(cube, in)
+	return runData(p, cube, in, ExpectedAllReduce(in), func(sub Substrate, work [][]float64) *DataResult {
+		return AllReduceRingOn(sub, work, tCompute)
+	})
+}
+
+// AllReduceRingOn launches the ring allreduce on the binary-reflected
 // Gray-code Hamiltonian cycle of the cube (consecutive ring positions are
 // hypercube neighbors, so every hand-off crosses one channel). Each node
 // pipelines 2(N-1) single-block steps: N-1 reduce-scatter steps, in which
@@ -502,10 +439,16 @@ func (r *ringAllReduce) absorb(v topology.NodeID, s int, data []float64) {
 // receiver folds in its contribution, then N-1 allgather steps
 // circulating the finished chunks. A node issues step s+1 as soon as it
 // has absorbed step s from its predecessor, so the pipeline keeps every
-// ring link busy. It takes ownership of in, reduces it in place and
-// returns it as Data.
-func allReduceRingOn(e *engine, cube topology.Cube, in [][]float64, tCompute event.Time) *DataResult {
+// ring link busy. The caller drives the queue and verifies Data against
+// ExpectedAllReduce, computed before the launch: the schedule takes
+// ownership of in, reduces it in place and returns it as Data.
+func AllReduceRingOn(sub Substrate, in [][]float64, tCompute event.Time) *DataResult {
+	if tCompute < 0 {
+		panic("collective: negative allreduce compute time")
+	}
+	cube := sub.Net.Cube()
 	b := blockOf(cube, in)
+	e := newEngine(sub)
 	dr := attachData(e, func() [][]float64 { return in })
 	nodes := cube.Nodes()
 	if nodes == 1 {
@@ -514,12 +457,13 @@ func allReduceRingOn(e *engine, cube topology.Cube, in [][]float64, tCompute eve
 	}
 	steps := 2 * (nodes - 1)
 	r := &ringAllReduce{
-		e: e, work: in, b: b, nodes: nodes, steps: steps, tCompute: tCompute,
+		e: e, work: in, b: b, nodes: nodes, steps: steps,
 		order:  make([]topology.NodeID, nodes),
 		pos:    make([]int, nodes),
 		stash:  make([][]float64, nodes*steps),
 		expect: make([]int, nodes),
 	}
+	e.declare(r, tCompute, finishNone)
 	for i := 0; i < nodes; i++ {
 		g := topology.NodeID(i ^ (i >> 1))
 		r.order[i] = g
@@ -531,34 +475,7 @@ func allReduceRingOn(e *engine, cube topology.Cube, in [][]float64, tCompute eve
 	return dr
 }
 
-// AllReduceRing is the data-carrying ring allreduce on the Gray-code
-// Hamiltonian cycle: bandwidth-identical to halving+doubling (2(N-1)
-// single-block steps per node) but latency-heavier — the classic
-// large-vector gradient-aggregation schedule. Verified before returning;
-// in is left untouched.
-func AllReduceRing(p ncube.Params, cube topology.Cube, in [][]float64, tCompute event.Time) (DataResult, error) {
-	if tCompute < 0 {
-		panic("collective: negative allreduce compute time")
-	}
-	blockOf(cube, in)
-	return runData(p, cube, in, ExpectedAllReduce(in), func(e *engine, work [][]float64) *DataResult {
-		return allReduceRingOn(e, cube, work, tCompute)
-	})
-}
-
-// AllReduceRingOn launches AllReduceRing's schedule on a shared substrate;
-// the caller drives the queue and verifies Data against ExpectedAllReduce,
-// computed before the launch: the schedule takes ownership of in, reduces
-// it in place and returns it as Data.
-func AllReduceRingOn(sub Substrate, in [][]float64, tCompute event.Time) *DataResult {
-	if tCompute < 0 {
-		panic("collective: negative allreduce compute time")
-	}
-	e := newEngineOn(sub)
-	return allReduceRingOn(e, sub.Net.Cube(), in, tCompute)
-}
-
-// allToAll is the exchangeSched of allToAllOn. Node v holds N blocks at
+// allToAll is the exchangeSched of AllToAllOn. Node v holds N blocks at
 // all times, one per slot: block (s, t) — source s's block for
 // destination t — sits in slot s^t. Before round k, v holds exactly the
 // blocks whose destination agrees with v below bit k and whose source
@@ -578,7 +495,7 @@ type allToAll struct {
 
 func (a *allToAll) dim(k int) int { return k }
 
-func (a *allToAll) outbound(v topology.NodeID, k int) []float64 {
+func (a *allToAll) outbound(v topology.NodeID, k int) (int, []float64) {
 	payload := a.pool.block(a.nodes / 2 * a.b)
 	held := a.held[int(v)*a.nodes:]
 	i := 0
@@ -586,7 +503,7 @@ func (a *allToAll) outbound(v topology.NodeID, k int) []float64 {
 		copy(payload[i*a.b:], held[x])
 		i++
 	}
-	return payload
+	return len(payload) * ElemBytes, payload
 }
 
 func (a *allToAll) absorb(v topology.NodeID, k int, data []float64) {
@@ -617,16 +534,29 @@ func (a *allToAll) result() [][]float64 {
 	return a.work
 }
 
-// allToAllOn runs the pairwise-exchange (XOR) all-to-all: n rounds, one
-// per dimension ascending, each node exchanging the N/2 blocks whose
+// AllToAll performs the complete block exchange — node v's input block t
+// ends as slot v of node t's result — via the pairwise-exchange schedule
+// (n rounds, N/2 blocks per message, each message one channel). Verified
+// against ExpectedAllToAll before returning; in is left untouched.
+func AllToAll(p ncube.Params, cube topology.Cube, in [][]float64) (DataResult, error) {
+	blockOf(cube, in)
+	return runData(p, cube, in, ExpectedAllToAll(in), AllToAllOn)
+}
+
+// AllToAllOn launches the pairwise-exchange (XOR) all-to-all: n rounds,
+// one per dimension ascending, each node exchanging the N/2 blocks whose
 // destination lies across the current dimension. Blocks hop between
 // partners until destination bits are satisfied dimension by dimension;
 // after round n-1 node v holds exactly the blocks addressed to it, one
-// from every source. It takes ownership of in and returns the gathered
-// vectors in its storage as Data.
-func allToAllOn(e *engine, cube topology.Cube, in [][]float64) *DataResult {
+// from every source. The caller drives the queue and verifies Data
+// against ExpectedAllToAll, computed before the launch: the schedule
+// takes ownership of in and returns the gathered vectors in its storage
+// as Data.
+func AllToAllOn(sub Substrate, in [][]float64) *DataResult {
+	cube := sub.Net.Cube()
 	b := blockOf(cube, in)
 	nodes, n := cube.Nodes(), cube.Dim()
+	e := newEngine(sub)
 	a := &allToAll{
 		pool: e.pool, work: in, b: b, nodes: nodes, n: n,
 		held: make([][]float64, nodes*nodes),
@@ -638,84 +568,7 @@ func allToAllOn(e *engine, cube topology.Cube, in [][]float64) *DataResult {
 		}
 	}
 	dr := attachData(e, a.result)
-	dataExchangeOn(e, cube, n, a, 0)
-	return dr
-}
-
-// AllToAll performs the complete block exchange — node v's input block t
-// ends as slot v of node t's result — via the pairwise-exchange schedule
-// (n rounds, N/2 blocks per message, each message one channel). Verified
-// against ExpectedAllToAll before returning; in is left untouched.
-func AllToAll(p ncube.Params, cube topology.Cube, in [][]float64) (DataResult, error) {
-	blockOf(cube, in)
-	return runData(p, cube, in, ExpectedAllToAll(in), func(e *engine, work [][]float64) *DataResult {
-		return allToAllOn(e, cube, work)
-	})
-}
-
-// AllToAllOn launches AllToAll's schedule on a shared substrate; the
-// caller drives the queue and verifies Data against ExpectedAllToAll,
-// computed before the launch: the schedule takes ownership of in and
-// returns the gathered vectors in its storage as Data.
-func AllToAllOn(sub Substrate, in [][]float64) *DataResult {
-	e := newEngineOn(sub)
-	return allToAllOn(e, sub.Net.Cube(), in)
-}
-
-// reduceData is reduceDataOn's schedule state.
-type reduceData struct {
-	e        *engine
-	cube     topology.Cube
-	root     topology.NodeID
-	acc      [][]float64 // per node, its accumulator (the owned input)
-	pending  []int       // per root-relative node, children still to absorb
-	tCompute event.Time
-}
-
-// ready ships root-relative node r's accumulated vector to its parent, or
-// finishes the root.
-func (rd *reduceData) ready(r topology.NodeID) {
-	node := absOf(rd.cube, rd.root, r)
-	if r == 0 {
-		rd.e.finished(node, rd.e.q.Now())
-		return
-	}
-	parent := r &^ (1 << uint(lowBit(r, rd.cube.Dim())))
-	rd.e.sendData(rd, node, absOf(rd.cube, rd.root, parent), int(r), rd.e.pool.copyOf(rd.acc[node]), rd.tCompute, true)
-}
-
-func (rd *reduceData) receive(to topology.NodeID, _ int, data []float64) {
-	seg := rd.acc[to]
-	for i, x := range data {
-		seg[i] += x
-	}
-	rd.e.pool.Recycle(data)
-	pr := relOf(rd.cube, rd.root, to)
-	rd.pending[pr]--
-	if rd.pending[pr] == 0 {
-		rd.ready(pr)
-	}
-}
-
-// reduceDataOn runs the payload-carrying all-to-one reduction: partial
-// vectors converge on root up the dimension-ascending binomial tree
-// (Reduce's exact schedule and message sizes), each hop shipping the
-// sender's accumulated vector and each receipt charging TRecv + tCompute
-// before folding into the local accumulator. It takes ownership of in,
-// accumulates in place and returns it as Data.
-func reduceDataOn(e *engine, cube topology.Cube, root topology.NodeID, in [][]float64, tCompute event.Time) *DataResult {
-	uniformLen(cube, in)
-	n := cube.Dim()
-	rd := &reduceData{e: e, cube: cube, root: root, acc: in, pending: make([]int, cube.Nodes()), tCompute: tCompute}
-	dr := attachData(e, func() [][]float64 { return in })
-	for v := 0; v < cube.Nodes(); v++ {
-		rd.pending[v] = lowBit(topology.NodeID(v), n)
-	}
-	for v := 0; v < cube.Nodes(); v++ {
-		if rd.pending[v] == 0 {
-			rd.ready(topology.NodeID(v))
-		}
-	}
+	exchangeOn(e, n, a, 0)
 	return dr
 }
 
@@ -724,28 +577,30 @@ func reduceDataOn(e *engine, cube topology.Cube, root topology.NodeID, in [][]fl
 // their partial accumulators). The root's vector is verified against the
 // column sum before returning; in is left untouched.
 func ReduceData(p ncube.Params, cube topology.Cube, root topology.NodeID, in [][]float64, tCompute event.Time) (DataResult, error) {
-	cube.MustContain(root)
-	if tCompute < 0 {
-		panic("collective: negative reduce compute time")
-	}
 	uniformLen(cube, in)
 	want := columnSum(in)
-	e := newEngine(p, cube, cube.Nodes())
-	dr := reduceDataOn(e, cube, root, copyVecs(in), tCompute)
-	e.finish()
+	work := copyVecs(in)
+	dr := standalone(p, cube, func(sub Substrate) *DataResult { return ReduceDataOn(sub, root, work, tCompute) })
 	return *dr, VerifyData([][]float64{dr.Data[root]}, [][]float64{want})
 }
 
-// ReduceDataOn launches ReduceData's schedule on a shared substrate; the
-// caller drives the queue and verifies Data[root] against the column sum,
-// computed before the launch: the schedule takes ownership of in,
-// accumulates in place and returns it as Data.
+// ReduceDataOn launches the payload-carrying all-to-one reduction:
+// partial vectors converge on root up the dimension-ascending binomial
+// tree (Reduce's exact schedule and message sizes), each hop shipping the
+// sender's accumulated vector and each receipt charging TRecv + tCompute
+// before folding into the local accumulator. The caller drives the queue
+// and verifies Data[root] against the column sum, computed before the
+// launch: the schedule takes ownership of in, accumulates in place and
+// returns it as Data.
 func ReduceDataOn(sub Substrate, root topology.NodeID, in [][]float64, tCompute event.Time) *DataResult {
 	cube := sub.Net.Cube()
 	cube.MustContain(root)
 	if tCompute < 0 {
 		panic("collective: negative reduce compute time")
 	}
-	e := newEngineOn(sub)
-	return reduceDataOn(e, cube, root, in, tCompute)
+	l := uniformLen(cube, in)
+	e := newEngine(sub)
+	dr := attachData(e, func() [][]float64 { return in })
+	binomialConvergecast(e, root, l*ElemBytes, false, in, tCompute)
+	return dr
 }

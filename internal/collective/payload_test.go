@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hypercube/internal/core"
+	"hypercube/internal/event"
 	"hypercube/internal/ncube"
 	"hypercube/internal/topology"
 )
@@ -41,50 +42,55 @@ func TestDataCollectiveGoldens(t *testing.T) {
 	}
 }
 
-// Attaching payloads must not perturb the event schedule. ReduceData runs
-// Reduce's exact convergecast with message size L*ElemBytes, so its timing
-// Result must equal the timing-only Reduce's field for field.
-func TestReduceDataTimingMatchesReduce(t *testing.T) {
+// Attaching payloads must not perturb the event schedule: the data and
+// timing-only collectives run the same declarations on the same executor.
+// ReduceData runs Reduce's exact convergecast with message size
+// block*ElemBytes, and AllToAll's pairwise exchange ships a constant N/2
+// blocks across ascending dimensions — the butterfly AllReduce's schedule
+// with message size (N/2)*block*ElemBytes and zero compute — so each
+// timing Result must equal its timing-only twin's field for field, at any
+// dimension, root, port model, lane count, compute charge and block size.
+func FuzzCollectiveTimingMatches(f *testing.F) {
+	// The seeds are the fixed cases this target replaces: dims 1–6 on both
+	// port models with one lane, root N-1 and tCompute 25, at 64-element
+	// (ReduceData) and 5-element (AllToAll) blocks.
 	for n := 1; n <= 6; n++ {
-		c := cube(n)
-		for _, pm := range []core.PortModel{core.AllPort, core.OnePort} {
-			p := params(pm)
-			in := RandomData(7, c.Nodes(), 64)
-			root := topology.NodeID(c.Nodes() - 1)
-			dr, err := ReduceData(p, c, root, in, 25)
-			if err != nil {
-				t.Fatalf("n=%d pm=%v: %v", n, pm, err)
-			}
-			want := Reduce(p, c, root, 64*ElemBytes, 25)
-			if !reflect.DeepEqual(dr.Result, want) {
-				t.Errorf("n=%d pm=%v: data-carrying reduce diverged from timing-only schedule\n got %+v\nwant %+v",
-					n, pm, dr.Result, want)
-			}
+		last := uint16(1)<<n - 1
+		for _, onePort := range []bool{false, true} {
+			f.Add(uint8(n-1), last, onePort, uint8(0), uint16(25), uint8(63))
+			f.Add(uint8(n-1), last, onePort, uint8(0), uint16(25), uint8(4))
 		}
 	}
-}
+	// Inputs map onto dimension 1+dim%6, lanes 1+lanes%2 and block size
+	// 1+block%64 elements.
+	f.Fuzz(func(t *testing.T, dim uint8, root uint16, onePort bool, lanes uint8, tCompute uint16, block uint8) {
+		c := cube(1 + int(dim)%6)
+		nodes := c.Nodes()
+		r := topology.NodeID(int(root) % nodes)
+		pm := core.AllPort
+		if onePort {
+			pm = core.OnePort
+		}
+		p := params(pm)
+		p.Lanes = 1 + int(lanes)%2
+		tc := event.Time(tCompute)
+		b := 1 + int(block)%64
 
-// AllToAll's pairwise exchange ships a constant N/2 blocks across
-// ascending dimensions — the butterfly AllReduce's schedule with message
-// size (N/2)*b*ElemBytes and zero compute. Timing must match exactly.
-func TestAllToAllTimingMatchesButterfly(t *testing.T) {
-	const b = 5
-	for n := 1; n <= 6; n++ {
-		c := cube(n)
-		for _, pm := range []core.PortModel{core.AllPort, core.OnePort} {
-			p := params(pm)
-			in := RandomData(11, c.Nodes(), c.Nodes()*b)
-			dr, err := AllToAll(p, c, in)
-			if err != nil {
-				t.Fatalf("n=%d pm=%v: %v", n, pm, err)
-			}
-			want := AllReduce(p, c, c.Nodes()/2*b*ElemBytes, 0)
-			if !reflect.DeepEqual(dr.Result, want) {
-				t.Errorf("n=%d pm=%v: alltoall timing diverged from butterfly\n got %+v\nwant %+v",
-					n, pm, dr.Result, want)
-			}
+		dr, err := ReduceData(p, c, r, RandomData(7, nodes, b), tc)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if want := Reduce(p, c, r, b*ElemBytes, tc); !reflect.DeepEqual(dr.Result, want) {
+			t.Errorf("reduce-data diverged from Reduce\n got %+v\nwant %+v", dr.Result, want)
+		}
+		dr, err = AllToAll(p, c, RandomData(11, nodes, nodes*b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := AllReduce(p, c, nodes/2*b*ElemBytes, 0); !reflect.DeepEqual(dr.Result, want) {
+			t.Errorf("alltoall diverged from the butterfly\n got %+v\nwant %+v", dr.Result, want)
+		}
+	})
 }
 
 func TestExpectedHelpers(t *testing.T) {

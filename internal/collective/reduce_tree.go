@@ -5,7 +5,6 @@ import (
 	"hypercube/internal/event"
 	"hypercube/internal/ncube"
 	"hypercube/internal/topology"
-	"hypercube/internal/wormhole"
 )
 
 // ReduceTree executes the *reverse* of a multicast tree: a convergecast in
@@ -19,57 +18,37 @@ import (
 // reverse of P(parent, child), so the paper's downward contention-freedom
 // does not automatically dualize. The operation is always correct; its
 // blocking time is reported for measurement.
+//
+// ReduceTree leaves the Result's Makespan zero; the source's Finish time
+// is when the reduction completes.
 func ReduceTree(p ncube.Params, tr *core.Tree, bytes int, tCompute event.Time) Result {
 	if bytes < 0 || tCompute < 0 {
 		panic("collective: negative reduce parameter")
 	}
-	e := newEngine(p, tr.Cube, len(tr.Order))
-
-	// children[v] counts v's direct children; parents derived from sends.
-	children := map[topology.NodeID]int{}
-	parent := map[topology.NodeID]topology.NodeID{}
-	for _, s := range tr.Unicasts() {
-		children[s.From]++
-		parent[s.To] = s.From
-	}
-
-	pending := map[topology.NodeID]int{}
-	var ready func(v topology.NodeID)
-	ready = func(v topology.NodeID) {
-		if v == tr.Source {
-			e.res.Finish[v] = e.q.Now()
-			return
+	r := *standalone(p, tr.Cube, func(sub Substrate) *Result {
+		e := newEngine(sub)
+		c := newConvergecast(e, tr.Source, tCompute)
+		// The parent rule is the tree's unicasts reversed. A node that
+		// is its own parent is not a member, unless it is the source.
+		for v := range c.node {
+			c.node[v].parent = topology.NodeID(v)
 		}
-		up, ok := parent[v]
-		if !ok {
-			panic("collective: tree member without a parent")
+		for _, sends := range tr.Sends {
+			for _, s := range sends {
+				c.node[s.To].parent = s.From
+				c.node[s.To].size = bytes
+				c.node[s.From].pending++
+			}
 		}
-		e.sendSeq(v, []sendSpec{{to: up, bytes: bytes}}, func(s sendSpec, d wormhole.Delivery) {
-			e.res.Finish[v] = d.Arrived
-			e.q.After(e.p.TRecv+tCompute, func() {
-				pending[d.To]--
-				if pending[d.To] == 0 {
-					ready(d.To)
-				}
-			})
-		})
-	}
-
-	// Every node that appears in the tree participates; leaves start at
-	// once.
-	seen := map[topology.NodeID]bool{tr.Source: true}
-	for _, s := range tr.Unicasts() {
-		seen[s.To] = true
-	}
-	for v := range seen {
-		pending[v] = children[v]
-	}
-	// Deterministic launch order: ascending addresses.
-	for n := 0; n < tr.Cube.Nodes(); n++ {
-		v := topology.NodeID(n)
-		if seen[v] && pending[v] == 0 {
-			ready(v)
+		// Leaves start in ascending address order.
+		for v, n := range c.node {
+			id := topology.NodeID(v)
+			if (id == tr.Source || n.parent != id) && n.pending == 0 {
+				c.ready(id)
+			}
 		}
-	}
-	return e.finish()
+		return e.res
+	})
+	r.Makespan = 0
+	return r
 }

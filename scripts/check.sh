@@ -32,13 +32,15 @@ GOWORK=off go -C perfbench vet ./...
 GOWORK=off go -C perfbench test .
 
 echo '== fuzz seed corpora'
-go test -run Fuzz . ./internal/chain/ ./internal/core/ ./internal/event/ ./internal/lazyrand/ ./internal/ncube/
+go test -run Fuzz . ./internal/chain/ ./internal/collective/ ./internal/core/ ./internal/event/ ./internal/lazyrand/ ./internal/ncube/
 
-echo '== fuzz (bounded): calendar order, bulk seeded draws'
-# A few seconds of fresh inputs each for the calendar's lane/heap filing
-# and lazyrand's bulk Intn draw, both checked against exact oracles.
+echo '== fuzz (bounded): calendar order, bulk seeded draws, collective timing'
+# A few seconds of fresh inputs each for the calendar's lane/heap filing,
+# lazyrand's bulk Intn draw, both checked against exact oracles, and the
+# data collectives' timing against their timing-only twins.
 go test -run '^$' -fuzz '^FuzzCalendarOrder$' -fuzztime 5s ./internal/event/
 go test -run '^$' -fuzz '^FuzzFillIntnMatchesMathRand$' -fuzztime 5s ./internal/lazyrand/
+go test -run '^$' -fuzz '^FuzzCollectiveTimingMatches$' -fuzztime 5s ./internal/collective/
 
 echo '== benchmarks (smoke)'
 go test -run xxx -bench . -benchtime 1x .
