@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -45,14 +46,61 @@ func TestDataCollectiveGoldens(t *testing.T) {
 // Attaching payloads must not perturb the event schedule: the data and
 // timing-only collectives run the same declarations on the same executor.
 // ReduceData runs Reduce's exact convergecast with message size
-// block*ElemBytes, and AllToAll's pairwise exchange ships a constant N/2
-// blocks across ascending dimensions — the butterfly AllReduce's schedule
-// with message size (N/2)*block*ElemBytes and zero compute — so each
-// timing Result must equal its timing-only twin's field for field, at any
+// block*ElemBytes, so its timing Result must equal the timing-only Reduce's
+// field for field.
+func checkReduceDataMatchesReduce(t *testing.T, p ncube.Params, c topology.Cube, root topology.NodeID, tc event.Time, block int) {
+	t.Helper()
+	dr, err := ReduceData(p, c, root, RandomData(7, c.Nodes(), block), tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Reduce(p, c, root, block*ElemBytes, tc); !reflect.DeepEqual(dr.Result, want) {
+		t.Errorf("reduce-data diverged from Reduce\n got %+v\nwant %+v", dr.Result, want)
+	}
+}
+
+// AllToAll's pairwise exchange ships a constant N/2 blocks across
+// ascending dimensions — the butterfly AllReduce's schedule with message
+// size (N/2)*block*ElemBytes and zero compute. Timing must match exactly.
+func checkAllToAllMatchesButterfly(t *testing.T, p ncube.Params, c topology.Cube, block int) {
+	t.Helper()
+	nodes := c.Nodes()
+	dr, err := AllToAll(p, c, RandomData(11, nodes, nodes*block))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := AllReduce(p, c, nodes/2*block*ElemBytes, 0); !reflect.DeepEqual(dr.Result, want) {
+		t.Errorf("alltoall diverged from the butterfly\n got %+v\nwant %+v", dr.Result, want)
+	}
+}
+
+func TestReduceDataTimingMatchesReduce(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		c := cube(n)
+		for _, pm := range []core.PortModel{core.AllPort, core.OnePort} {
+			t.Run(fmt.Sprintf("n=%d/pm=%v", n, pm), func(t *testing.T) {
+				checkReduceDataMatchesReduce(t, params(pm), c, topology.NodeID(c.Nodes()-1), 25, 64)
+			})
+		}
+	}
+}
+
+func TestAllToAllTimingMatchesButterfly(t *testing.T) {
+	for n := 1; n <= 6; n++ {
+		c := cube(n)
+		for _, pm := range []core.PortModel{core.AllPort, core.OnePort} {
+			t.Run(fmt.Sprintf("n=%d/pm=%v", n, pm), func(t *testing.T) {
+				checkAllToAllMatchesButterfly(t, params(pm), c, 5)
+			})
+		}
+	}
+}
+
+// FuzzCollectiveTimingMatches runs both timing-match checks at any
 // dimension, root, port model, lane count, compute charge and block size.
 func FuzzCollectiveTimingMatches(f *testing.F) {
-	// The seeds are the fixed cases this target replaces: dims 1–6 on both
-	// port models with one lane, root N-1 and tCompute 25, at 64-element
+	// The seeds are the two tests' fixed cases: dims 1–6 on both port
+	// models with one lane, root N-1 and tCompute 25, at 64-element
 	// (ReduceData) and 5-element (AllToAll) blocks.
 	for n := 1; n <= 6; n++ {
 		last := uint16(1)<<n - 1
@@ -65,31 +113,15 @@ func FuzzCollectiveTimingMatches(f *testing.F) {
 	// 1+block%64 elements.
 	f.Fuzz(func(t *testing.T, dim uint8, root uint16, onePort bool, lanes uint8, tCompute uint16, block uint8) {
 		c := cube(1 + int(dim)%6)
-		nodes := c.Nodes()
-		r := topology.NodeID(int(root) % nodes)
 		pm := core.AllPort
 		if onePort {
 			pm = core.OnePort
 		}
 		p := params(pm)
 		p.Lanes = 1 + int(lanes)%2
-		tc := event.Time(tCompute)
 		b := 1 + int(block)%64
-
-		dr, err := ReduceData(p, c, r, RandomData(7, nodes, b), tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := Reduce(p, c, r, b*ElemBytes, tc); !reflect.DeepEqual(dr.Result, want) {
-			t.Errorf("reduce-data diverged from Reduce\n got %+v\nwant %+v", dr.Result, want)
-		}
-		dr, err = AllToAll(p, c, RandomData(11, nodes, nodes*b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := AllReduce(p, c, nodes/2*b*ElemBytes, 0); !reflect.DeepEqual(dr.Result, want) {
-			t.Errorf("alltoall diverged from the butterfly\n got %+v\nwant %+v", dr.Result, want)
-		}
+		checkReduceDataMatchesReduce(t, p, c, topology.NodeID(int(root)%c.Nodes()), event.Time(tCompute), b)
+		checkAllToAllMatchesButterfly(t, p, c, b)
 	})
 }
 
